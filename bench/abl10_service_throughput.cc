@@ -43,6 +43,7 @@
 #include <unistd.h>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/histogram.hh"
 #include "service/client.hh"
 #include "service/protocol.hh"
@@ -110,20 +111,6 @@ usageAndExit()
     std::exit(2);
 }
 
-std::vector<std::uint32_t>
-parseCsv(const std::string &text)
-{
-    std::vector<std::uint32_t> values;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        values.push_back(
-            static_cast<std::uint32_t>(std::stoul(item)));
-    if (values.empty())
-        usageAndExit();
-    return values;
-}
-
 Options
 parse(int argc, char **argv)
 {
@@ -131,21 +118,24 @@ parse(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--scale=", 0) == 0) {
-            opt.scale = std::stod(arg.substr(8));
+            opt.scale =
+                cli::parseDouble("scale", arg.substr(8), 1e-6, 1e6);
         } else if (arg.rfind("--threads=", 0) == 0) {
-            opt.threads = static_cast<std::uint32_t>(
-                std::stoul(arg.substr(10)));
+            opt.threads = cli::parseU32("threads", arg.substr(10), 1);
         } else if (arg.rfind("--repeat=", 0) == 0) {
-            opt.repeat = static_cast<std::uint32_t>(
-                std::stoul(arg.substr(9)));
+            opt.repeat = cli::parseU32("repeat", arg.substr(9), 1);
         } else if (arg.rfind("--workers=", 0) == 0) {
-            opt.workers = parseCsv(arg.substr(10));
+            opt.workers =
+                cli::parseU32List("workers", arg.substr(10), 1);
         } else if (arg.rfind("--clients=", 0) == 0) {
-            opt.clients = parseCsv(arg.substr(10));
+            opt.clients =
+                cli::parseU32List("clients", arg.substr(10), 1);
         } else if (arg.rfind("--pipeline=", 0) == 0) {
-            opt.pipeline = parseCsv(arg.substr(11));
+            opt.pipeline =
+                cli::parseU32List("pipeline", arg.substr(11), 1);
         } else if (arg.rfind("--plane-job-ms=", 0) == 0) {
-            opt.plane_job_ms = std::stoull(arg.substr(15));
+            opt.plane_job_ms =
+                cli::parseU64("plane-job-ms", arg.substr(15));
         } else if (arg.rfind("--mode=", 0) == 0) {
             const std::string mode = arg.substr(7);
             opt.run_plane = mode == "plane" || mode == "both";
@@ -155,9 +145,11 @@ parse(int argc, char **argv)
         } else if (arg == "--assert-monotonic") {
             opt.assert_monotonic = true;
         } else if (arg.rfind("--assert-speedup=", 0) == 0) {
-            opt.assert_speedup = std::stod(arg.substr(17));
+            opt.assert_speedup = cli::parseDouble(
+                "assert-speedup", arg.substr(17), 0.0, 1e6);
         } else if (arg.rfind("--p99-ceiling-ms=", 0) == 0) {
-            opt.p99_ceiling_ms = std::stoull(arg.substr(17));
+            opt.p99_ceiling_ms =
+                cli::parseU64("p99-ceiling-ms", arg.substr(17));
         } else if (arg.rfind("--out=", 0) == 0) {
             opt.out = arg.substr(6);
         } else if (arg == "--quick") {

@@ -41,6 +41,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/cli.hh"
 #include "service/client.hh"
 #include "service/cluster.hh"
 #include "service/protocol.hh"
@@ -94,20 +95,6 @@ usageAndExit()
         "  --quick          CI smoke: daemons 1,3, pipeline 4, "
         "smaller floor\n");
     std::exit(2);
-}
-
-std::vector<std::uint32_t>
-parseCsv(const std::string &text)
-{
-    std::vector<std::uint32_t> values;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        values.push_back(
-            static_cast<std::uint32_t>(std::stoul(item)));
-    if (values.empty())
-        usageAndExit();
-    return values;
 }
 
 [[noreturn]] void
@@ -513,10 +500,9 @@ main(int argc, char **argv)
         else if (serve_socket.empty())
             break;
         else if (arg.rfind("--workers=", 0) == 0)
-            serve_workers = static_cast<std::uint32_t>(
-                std::stoul(arg.substr(10)));
+            serve_workers = cli::parseU32("workers", arg.substr(10), 1);
         else if (arg.rfind("--min-job-ms=", 0) == 0)
-            serve_job_ms = std::stoull(arg.substr(13));
+            serve_job_ms = cli::parseU64("min-job-ms", arg.substr(13));
     }
     if (!serve_socket.empty())
         serveMain(serve_socket, serve_workers, serve_job_ms);
@@ -525,23 +511,26 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--scale=", 0) == 0) {
-            opt.scale = std::stod(arg.substr(8));
+            opt.scale =
+                cli::parseDouble("scale", arg.substr(8), 1e-6, 1e6);
         } else if (arg.rfind("--repeat=", 0) == 0) {
-            opt.repeat = static_cast<std::uint32_t>(
-                std::stoul(arg.substr(9)));
+            opt.repeat = cli::parseU32("repeat", arg.substr(9), 1);
         } else if (arg.rfind("--daemons=", 0) == 0) {
-            opt.daemons = parseCsv(arg.substr(10));
+            opt.daemons =
+                cli::parseU32List("daemons", arg.substr(10), 1);
         } else if (arg.rfind("--kills=", 0) == 0) {
-            opt.kills = parseCsv(arg.substr(8));
+            opt.kills = cli::parseU32List("kills", arg.substr(8));
         } else if (arg.rfind("--pipeline=", 0) == 0) {
-            opt.pipeline = parseCsv(arg.substr(11));
+            opt.pipeline =
+                cli::parseU32List("pipeline", arg.substr(11), 1);
         } else if (arg.rfind("--workers=", 0) == 0) {
-            opt.workers = static_cast<std::uint32_t>(
-                std::stoul(arg.substr(10)));
+            opt.workers = cli::parseU32("workers", arg.substr(10), 1);
         } else if (arg.rfind("--min-job-ms=", 0) == 0) {
-            opt.min_job_ms = std::stoull(arg.substr(13));
+            opt.min_job_ms =
+                cli::parseU64("min-job-ms", arg.substr(13));
         } else if (arg.rfind("--retry-seed=", 0) == 0) {
-            opt.retry_seed = std::stoull(arg.substr(13));
+            opt.retry_seed =
+                cli::parseU64("retry-seed", arg.substr(13));
         } else if (arg == "--check") {
             opt.check = true;
         } else if (arg.rfind("--out=", 0) == 0) {

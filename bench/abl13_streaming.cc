@@ -40,14 +40,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include <malloc.h>
 #include <unistd.h>
 
 #include "bench_util.hh"
+#include "common/alloc_stats.hh"
+#include "common/cli.hh"
 #include "service/client.hh"
 #include "service/protocol.hh"
 #include "service/server.hh"
@@ -109,29 +109,25 @@ parse(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--scale=", 0) == 0) {
-            opt.base_scale = std::stod(arg.substr(8));
+            opt.base_scale =
+                cli::parseDouble("scale", arg.substr(8), 1e-6, 1e6);
         } else if (arg.rfind("--threads=", 0) == 0) {
-            opt.threads = static_cast<std::uint32_t>(
-                std::stoul(arg.substr(10)));
+            opt.threads = cli::parseU32("threads", arg.substr(10), 1);
         } else if (arg.rfind("--mults=", 0) == 0) {
-            opt.mults.clear();
-            std::stringstream ss(arg.substr(8));
-            std::string item;
-            while (std::getline(ss, item, ','))
-                opt.mults.push_back(static_cast<std::uint32_t>(
-                    std::stoul(item)));
-            if (opt.mults.empty())
-                usageAndExit();
+            opt.mults = cli::parseU32List("mults", arg.substr(8), 1);
         } else if (arg.rfind("--stream-buffer=", 0) == 0) {
-            opt.stream_buffer = std::stoull(arg.substr(16));
+            opt.stream_buffer =
+                cli::parseU64("stream-buffer", arg.substr(16));
         } else if (arg.rfind("--partial-interval=", 0) == 0) {
-            opt.partial_interval = std::stoull(arg.substr(19));
+            opt.partial_interval =
+                cli::parseU64("partial-interval", arg.substr(19));
         } else if (arg.rfind("--workload=", 0) == 0) {
             opt.workload = arg.substr(11);
         } else if (arg.rfind("--max-rss-kb=", 0) == 0) {
-            opt.max_rss_kb = std::stoull(arg.substr(13));
+            opt.max_rss_kb = cli::parseU64("max-rss-kb", arg.substr(13));
         } else if (arg.rfind("--assert-flat=", 0) == 0) {
-            opt.assert_flat = std::stod(arg.substr(14));
+            opt.assert_flat =
+                cli::parseDouble("assert-flat", arg.substr(14), 0.0, 1e6);
         } else if (arg.rfind("--out=", 0) == 0) {
             opt.out = arg.substr(6);
         } else if (arg == "--quick") {
@@ -152,33 +148,6 @@ fail(const std::string &what)
 {
     std::fprintf(stderr, "abl13: %s\n", what.c_str());
     std::exit(1);
-}
-
-/** Current VmHWM (peak RSS) of this process, in kB. */
-std::uint64_t
-peakRssKb()
-{
-    std::ifstream in("/proc/self/status");
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.rfind("VmHWM:", 0) == 0)
-            return std::strtoull(line.c_str() + 6, nullptr, 10);
-    }
-    return 0;
-}
-
-/**
- * Reset the kernel's peak-RSS watermark to the current RSS, so the
- * next peakRssKb() reads this measurement's own high-water mark.
- * malloc_trim first: freed-but-retained heap from the previous
- * measurement would otherwise floor the watermark.
- */
-void
-resetPeakRss()
-{
-    ::malloc_trim(0);
-    std::ofstream out("/proc/self/clear_refs");
-    out << "5";
 }
 
 /** Record the chosen workload at @p scale into @p path. */

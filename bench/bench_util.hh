@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "instr/cost_model.hh"
 #include "runtime/simulator.hh"
 #include "workloads/registry.hh"
@@ -45,10 +46,11 @@ struct BenchOptions
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             if (arg.rfind("--scale=", 0) == 0) {
-                opt.scale = std::stod(arg.substr(8));
+                opt.scale = cli::parseDouble("scale", arg.substr(8),
+                                             1e-6, 1e6);
             } else if (arg.rfind("--threads=", 0) == 0) {
-                opt.threads = static_cast<std::uint32_t>(
-                    std::stoul(arg.substr(10)));
+                opt.threads =
+                    cli::parseU32("threads", arg.substr(10), 1);
             } else if (arg.rfind("--suite=", 0) == 0) {
                 opt.suite = arg.substr(8);
             } else if (arg == "--quick") {

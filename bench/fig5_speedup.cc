@@ -65,7 +65,8 @@ main(int argc, char **argv)
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--seeds=", 0) == 0)
-            seeds = std::max(1, std::stoi(arg.substr(8)));
+            seeds = static_cast<int>(
+                cli::parseU32("seeds", arg.substr(8), 1, 1000));
         else
             passthrough.push_back(argv[i]);
     }

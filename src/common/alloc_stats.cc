@@ -5,6 +5,9 @@
 #include <cstring>
 
 #include <sys/resource.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace hdrd
 {
@@ -56,6 +59,11 @@ peakRssKb()
 bool
 resetPeakRss()
 {
+    // Freed-but-retained heap would floor the fresh watermark: hand
+    // it back to the OS first.
+#if defined(__GLIBC__)
+    malloc_trim(0);
+#endif
     std::FILE *f = std::fopen("/proc/self/clear_refs", "w");
     if (f == nullptr)
         return false;

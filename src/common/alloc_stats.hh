@@ -60,7 +60,9 @@ std::uint64_t peakRssKb();
 /**
  * Reset the kernel's peak-RSS watermark (write "5" to
  * /proc/self/clear_refs) so peakRssKb() measures the high-water mark
- * of just the work that follows. @return false when unsupported.
+ * of just the work that follows. Trims the allocator first, so heap
+ * an earlier, bigger measurement freed does not floor the new one.
+ * @return false when unsupported.
  */
 bool resetPeakRss();
 

@@ -51,6 +51,22 @@ parseU32(const std::string &flag, const std::string &text,
     return static_cast<std::uint32_t>(parseU64(flag, text, lo, hi));
 }
 
+std::vector<std::uint32_t>
+parseU32List(const std::string &flag, const std::string &text,
+             std::uint32_t lo, std::uint32_t hi)
+{
+    std::vector<std::uint32_t> values;
+    std::size_t start = 0;
+    for (;;) {
+        const std::size_t comma = text.find(',', start);
+        values.push_back(parseU32(
+            flag, text.substr(start, comma - start), lo, hi));
+        if (comma == std::string::npos)
+            return values;
+        start = comma + 1;
+    }
+}
+
 double
 parseDouble(const std::string &flag, const std::string &text,
             double lo, double hi)

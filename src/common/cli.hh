@@ -2,10 +2,11 @@
  * @file
  * Shared command-line parsing helpers for the hdrd tools.
  *
- * Every numeric flag in hdrd_sim/hdrd_bench/hdrd_fuzz funnels through
- * these: a malformed or out-of-range value names the offending flag
- * and exits nonzero (fatal) instead of throwing an uncaught
- * std::invalid_argument out of std::stoul or silently truncating.
+ * Every numeric flag in the tools and the bench harnesses funnels
+ * through these: a malformed or out-of-range value names the
+ * offending flag and exits nonzero (fatal) instead of throwing an
+ * uncaught std::invalid_argument out of std::stoul or silently
+ * truncating.
  */
 
 #ifndef HDRD_COMMON_CLI_HH
@@ -13,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace hdrd::cli
 {
@@ -35,6 +37,16 @@ std::uint64_t parseU64(const std::string &flag, const std::string &text,
 std::uint32_t parseU32(const std::string &flag, const std::string &text,
                        std::uint32_t lo = 0,
                        std::uint32_t hi = UINT32_MAX);
+
+/**
+ * Parse the value of --<flag>=<text> as a comma list of parseU32
+ * values, each in [@p lo, @p hi]. fatal()s with the flag name on an
+ * empty list or item and on any malformed or out-of-range item.
+ */
+std::vector<std::uint32_t> parseU32List(const std::string &flag,
+                                        const std::string &text,
+                                        std::uint32_t lo = 0,
+                                        std::uint32_t hi = UINT32_MAX);
 
 /**
  * Parse the value of --<flag>=<text> as a double in [@p lo, @p hi].

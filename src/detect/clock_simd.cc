@@ -1,5 +1,6 @@
 #include "detect/clock_simd.hh"
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
@@ -339,15 +340,22 @@ resolve()
     return bestSupported();
 }
 
-/** The active table; swapped only by forceLevel (tests). */
-const KernelTable *active = nullptr;
+/**
+ * The active table; swapped only by forceLevel (tests). Threads that
+ * race to resolve it on first use all store the same table; a relaxed
+ * load is a plain load, so VectorClock::join pays nothing for it.
+ */
+std::atomic<const KernelTable *> active{nullptr};
 
 const KernelTable *
 activeTable()
 {
-    if (active == nullptr)
-        active = &resolve();
-    return active;
+    const KernelTable *table = active.load(std::memory_order_relaxed);
+    if (table == nullptr) {
+        table = &resolve();
+        active.store(table, std::memory_order_relaxed);
+    }
+    return table;
 }
 
 } // namespace
@@ -368,13 +376,13 @@ bool
 forceLevel(const char *level)
 {
     if (std::strcmp(level, "auto") == 0) {
-        active = &resolve();
+        active.store(&resolve(), std::memory_order_relaxed);
         return true;
     }
     const KernelTable *t = byName(level);
     if (t == nullptr)
         return false;
-    active = t;
+    active.store(t, std::memory_order_relaxed);
     return true;
 }
 

@@ -26,28 +26,13 @@ hitWhereName(HitWhere where)
 Hierarchy::Hierarchy(const HierarchyConfig &config)
     : config_(config),
       privates_(config.ncores, config.l1, config.l2),
-      l3_(config.l3, "l3"),
-      stats_("mem")
+      l3_(config.l3, "l3")
 {
     if (config.l3.line_bytes != config.l1.line_bytes)
         fatal("L3 line size must match L1/L2 line size");
     if (config.ncores == 0)
         fatal("Hierarchy needs at least one core");
 
-    c_accesses_ = stats_.counterCell("accesses");
-    c_writes_ = stats_.counterCell("writes");
-    c_l1_hits_ = stats_.counterCell("l1_hits");
-    c_l2_hits_ = stats_.counterCell("l2_hits");
-    c_l3_hits_ = stats_.counterCell("l3_hits");
-    c_upgrades_ = stats_.counterCell("upgrades");
-    c_invalidations_ = stats_.counterCell("invalidations");
-    c_hitm_transfers_ = stats_.counterCell("hitm_transfers");
-    c_hitm_loads_ = stats_.counterCell("hitm_loads");
-    c_mem_fetches_ = stats_.counterCell("mem_fetches");
-    c_l2_evictions_ = stats_.counterCell("l2_evictions");
-    c_private_writebacks_ = stats_.counterCell("private_writebacks");
-    c_l3_evictions_ = stats_.counterCell("l3_evictions");
-    c_back_invalidations_ = stats_.counterCell("back_invalidations");
     holders_scratch_.reserve(config.ncores);
 }
 
@@ -83,8 +68,8 @@ Hierarchy::upgradeForWrite(CoreId core, Addr line, CacheLine *l1_line,
         privates_.noteState(core, line, Mesi::kModified);
         result.upgrade = true;
         result.latency += lat.upgrade;
-        *c_upgrades_ += 1;
-        *c_invalidations_ += result.invalidations;
+        ++stats_.upgrades;
+        stats_.invalidations += result.invalidations;
         break;
       }
       case Mesi::kModified:
@@ -131,13 +116,13 @@ Hierarchy::serviceMiss(CoreId core, Addr line, bool write)
         result.hitm = true;
         result.hitm_load = !write;
         result.latency = lat.hitm_transfer;
-        *c_hitm_transfers_ += 1;
+        ++stats_.hitm_transfers;
         if (!write)
-            *c_hitm_loads_ += 1;
+            ++stats_.hitm_loads;
         if (write) {
             privates_.invalidate(*owner, line);
             result.invalidations = 1;
-            *c_invalidations_ += 1;
+            ++stats_.invalidations;
             new_state = Mesi::kModified;
         } else {
             // M->S at the owner; dirty data written back to L3.
@@ -153,13 +138,13 @@ Hierarchy::serviceMiss(CoreId core, Addr line, bool write)
             // Clean remote copies; data serviced by the inclusive L3.
             result.where = HitWhere::kL3;
             result.latency = lat.l3_hit;
-            *c_l3_hits_ += 1;
+            ++stats_.l3_hits;
             if (write) {
                 for (CoreId h : holders_scratch_) {
                     privates_.invalidate(h, line);
                     ++result.invalidations;
                 }
-                *c_invalidations_ += result.invalidations;
+                stats_.invalidations += result.invalidations;
                 new_state = Mesi::kModified;
             } else {
                 for (CoreId h : holders_scratch_) {
@@ -176,14 +161,14 @@ Hierarchy::serviceMiss(CoreId core, Addr line, bool write)
             // No private copy anywhere; L3 has it.
             result.where = HitWhere::kL3;
             result.latency = lat.l3_hit;
-            *c_l3_hits_ += 1;
+            ++stats_.l3_hits;
             l3_.touchLine(l3_line);
             new_state = write ? Mesi::kModified : Mesi::kExclusive;
         } else {
             // Fetch from memory, fill L3 first (inclusive).
             result.where = HitWhere::kMemory;
             result.latency = lat.memory;
-            *c_mem_fetches_ += 1;
+            ++stats_.mem_fetches;
             insertL3(line);
             new_state = write ? Mesi::kModified : Mesi::kExclusive;
         }
@@ -191,13 +176,13 @@ Hierarchy::serviceMiss(CoreId core, Addr line, bool write)
 
     const auto ins = privates_.insert(core, line, new_state);
     if (ins.l2_victim)
-        *c_l2_evictions_ += 1;
+        ++stats_.l2_evictions;
     if (ins.writeback) {
         // A Modified line left the private hierarchy: any later
         // consumer will be serviced by L3 with no HITM — the paper's
         // eviction-induced sharing-indicator miss.
         result.private_writeback = true;
-        *c_private_writebacks_ += 1;
+        ++stats_.private_writebacks;
     }
     return result;
 }
@@ -208,11 +193,11 @@ Hierarchy::insertL3(Addr line)
     auto evict = l3_.insert(line, Mesi::kExclusive);
     if (!evict)
         return;
-    *c_l3_evictions_ += 1;
+    ++stats_.l3_evictions;
     // Inclusive L3: the victim must leave every private cache.
     for (CoreId c = 0; c < config_.ncores; ++c) {
         if (privates_.dropLine(c, evict->line_addr))
-            *c_back_invalidations_ += 1;
+            ++stats_.back_invalidations;
     }
 }
 

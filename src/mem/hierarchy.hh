@@ -17,7 +17,6 @@
 #include <memory>
 
 #include "common/histogram.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/cache.hh"
 #include "mem/coherence.hh"
@@ -96,6 +95,35 @@ struct HierarchyConfig
     LatencyModel latency;
 };
 
+/** Hierarchy event counts. */
+struct HierarchyStats
+{
+    std::uint64_t accesses = 0;
+    std::uint64_t writes = 0;
+    std::uint64_t l1_hits = 0;
+    std::uint64_t l2_hits = 0;
+    std::uint64_t l3_hits = 0;
+    std::uint64_t mem_fetches = 0;
+
+    /** Write hits that had to gain ownership (E/S -> M). */
+    std::uint64_t upgrades = 0;
+
+    /** Remote private copies invalidated. */
+    std::uint64_t invalidations = 0;
+
+    /** Misses served from another core's modified line; the loads
+     *  among them are what HITM events count. */
+    std::uint64_t hitm_transfers = 0;
+    std::uint64_t hitm_loads = 0;
+
+    /** Evictions; dirty private lines written back; private copies
+     *  dropped to keep the L3 inclusive. */
+    std::uint64_t l2_evictions = 0;
+    std::uint64_t private_writebacks = 0;
+    std::uint64_t l3_evictions = 0;
+    std::uint64_t back_invalidations = 0;
+};
+
 /**
  * Three-level MESI hierarchy: private L1+L2 per core, shared inclusive
  * L3, flat memory behind it.
@@ -138,9 +166,9 @@ class Hierarchy
         const Addr line = l3_.lineAddr(addr);
         const LatencyModel &lat = config_.latency;
 
-        *c_accesses_ += 1;
+        ++stats_.accesses;
         if (write)
-            *c_writes_ += 1;
+            ++stats_.writes;
 
         // Probe L1 first: a hit reaches the backing L2 line through
         // the slot link recorded at fill time, so the (dominant)
@@ -162,7 +190,7 @@ class Hierarchy
             const bool in_l1 = l1_line != nullptr;
             result.where = in_l1 ? HitWhere::kL1 : HitWhere::kL2;
             result.latency = in_l1 ? lat.l1_hit : lat.l2_hit;
-            *(in_l1 ? c_l1_hits_ : c_l2_hits_) += 1;
+            ++(in_l1 ? stats_.l1_hits : stats_.l2_hits);
             if (in_l1)
                 privates_.touchLines(core, l1_line, l2_line);
 
@@ -194,9 +222,8 @@ class Hierarchy
     /** Configuration in force. */
     const HierarchyConfig &config() const { return config_; }
 
-    /** Statistics group ("mem"). */
-    const StatGroup &stats() const { return stats_; }
-    StatGroup &stats() { return stats_; }
+    /** Event counts since construction. */
+    const HierarchyStats &stats() const { return stats_; }
 
     /** Distribution of per-access service latencies. */
     const Log2Histogram &latencyHistogram() const
@@ -224,25 +251,8 @@ class Hierarchy
     HierarchyConfig config_;
     PrivateCaches privates_;
     Cache l3_;
-    StatGroup stats_;
+    HierarchyStats stats_;
     Log2Histogram latency_hist_;
-
-    // Counter cells fetched once at construction: the access path
-    // bumps through pointers instead of name lookups.
-    std::uint64_t *c_accesses_;
-    std::uint64_t *c_writes_;
-    std::uint64_t *c_l1_hits_;
-    std::uint64_t *c_l2_hits_;
-    std::uint64_t *c_l3_hits_;
-    std::uint64_t *c_upgrades_;
-    std::uint64_t *c_invalidations_;
-    std::uint64_t *c_hitm_transfers_;
-    std::uint64_t *c_hitm_loads_;
-    std::uint64_t *c_mem_fetches_;
-    std::uint64_t *c_l2_evictions_;
-    std::uint64_t *c_private_writebacks_;
-    std::uint64_t *c_l3_evictions_;
-    std::uint64_t *c_back_invalidations_;
 
     /** Reused remote-holder buffer (no per-access allocation). */
     std::vector<CoreId> holders_scratch_;

@@ -33,7 +33,34 @@ struct GtState
     std::uint64_t readers_since_write = 0;
 };
 
+/** The deadlock message: every unfinished thread and its wait. */
+std::string
+deadlockMessage(const std::vector<ThreadContext> &ctxs,
+                const SyncObjects &sync)
+{
+    std::string message = "deadlock: no runnable thread;";
+    for (const ThreadContext &tc : ctxs) {
+        if (tc.state() == ThreadState::kFinished)
+            continue;
+        message += " t" + std::to_string(tc.tid());
+        if (tc.state() == ThreadState::kNotStarted)
+            message += " never started,";
+        else
+            message += " blocked on " + sync.blockedOn(tc.tid()) + ',';
+    }
+    message.pop_back();
+    return message;
+}
+
 } // namespace
+
+const char *
+runStatusName(RunStatus status)
+{
+    static constexpr const char *kNames[] = {"completed", "deadlock",
+                                             "sync_misuse", "cancelled"};
+    return kNames[static_cast<std::size_t>(status)];
+}
 
 Simulator::Simulator(const SimConfig &config) : config_(config)
 {
@@ -160,6 +187,12 @@ Simulator::runImpl(Program &program, RunObserver *observer)
         sched.onRunnable(w.tid, w.when);
     };
 
+    /** A thread must wait (its op stays pending unless consumed). */
+    const auto block = [&](ThreadContext &tc) {
+        tc.setState(ThreadState::kBlocked);
+        sched.onNotRunnable(tc.tid());
+    };
+
     // PEBS sample latches: the access description a precise sampling
     // facility would deliver with the overflow record, one per core.
     struct PebsLatch
@@ -259,10 +292,9 @@ Simulator::runImpl(Program &program, RunObserver *observer)
         r.enables = controller.enables();
         r.disables = controller.disables();
         r.transitions = controller.transitions();
-        r.hitm_loads = hier.stats().counter("hitm_loads");
-        r.hitm_transfers = hier.stats().counter("hitm_transfers");
-        r.private_writebacks =
-            hier.stats().counter("private_writebacks");
+        r.hitm_loads = hier.stats().hitm_loads;
+        r.hitm_transfers = hier.stats().hitm_transfers;
+        r.private_writebacks = hier.stats().private_writebacks;
         r.mem_latency = hier.latencyHistogram();
         for (std::size_t e = 0; e < pmu::kNumEventTypes; ++e) {
             r.pmu_totals[e] =
@@ -290,11 +322,34 @@ Simulator::runImpl(Program &program, RunObserver *observer)
     std::uint64_t partial_countdown =
         observer != nullptr ? observer->interval_ops : 0;
 
+    // Every sync op costs the same cycles and retires the same way.
+    const Cycle sync_cost =
+        cost.base_sync + (tool ? cost.analysis_sync : 0);
+    const auto retireSync = [&](ThreadContext &tc, CoreId core) {
+        ++result.sync_ops;
+        pmu.recordEvent(core, pmu::EventType::kSyncOps);
+        tc.consume();
+        pmu.retireOp(core, fault_ptr);
+    };
+
+    // Input-dependent failures end the run with a status instead of
+    // aborting the process: a program may be an untrusted trace. The
+    // sync-op branches (goto run_stopped) and the no-runnable branch
+    // are the only places that stop the run; the data path never
+    // checks.
+    const auto stop = [&](RunStatus status, const auto &...message) {
+        result.status = status;
+        result.error = log_detail::concat(message...);
+    };
+    const auto cancelled = [observer] {
+        return observer != nullptr && observer->cancel != nullptr
+            && observer->cancel->load(std::memory_order_relaxed);
+    };
+
     // Main loop: one operation per iteration, earliest core first.
     for (;;) {
-        if (observer != nullptr && observer->cancel != nullptr
-            && observer->cancel->load(std::memory_order_relaxed)) {
-            observer->cancelled = true;
+        if (cancelled()) {
+            stop(RunStatus::kCancelled, "run cancelled");
             break;
         }
         const ThreadId tid = sched.pick(ctxs, core_cycles);
@@ -305,15 +360,14 @@ Simulator::runImpl(Program &program, RunObserver *observer)
                 });
             if (all_done)
                 break;
-            if (observer != nullptr && observer->cancel != nullptr
-                && observer->cancel->load()) {
-                // A cancelled program's blocked threads will never be
-                // woken (their feeder is gone); unwind, don't panic.
-                observer->cancelled = true;
-                break;
-            }
-            panic("deadlock: no runnable thread in '", program.name(),
-                  "' but not all threads finished");
+            // A cancelled program's blocked threads may wait for ops
+            // that will never arrive (their feeder is gone): that is
+            // the cancellation, not a deadlock of the program.
+            if (cancelled())
+                stop(RunStatus::kCancelled, "run cancelled");
+            else
+                stop(RunStatus::kDeadlock, deadlockMessage(ctxs, sync));
+            break;
         }
         ThreadContext &tc = ctxs[tid];
         current_tid = tid;
@@ -581,10 +635,7 @@ Simulator::runImpl(Program &program, RunObserver *observer)
             }
             core_cycles[core] += charge;
             ++result.atomic_ops;
-            ++result.sync_ops;
-            pmu.recordEvent(core, pmu::EventType::kSyncOps);
-            tc.consume();
-            pmu.retireOp(core, fault_ptr);
+            retireSync(tc, core);
             // Wake futex-style waiters whose threshold is now met.
             for (const Wakeup &w : sync.onAtomicRmw(
                      op.addr >> granule_shift, core_cycles[core])) {
@@ -597,8 +648,7 @@ Simulator::runImpl(Program &program, RunObserver *observer)
             const std::uint64_t cell = op.addr >> granule_shift;
             if (!sync.atomicSatisfied(cell, op.arg)) {
                 sync.addAtomicWaiter(tid, cell, op.arg);
-                tc.setState(ThreadState::kBlocked);
-                sched.onNotRunnable(tid);
+                block(tc);
                 break;  // op stays pending; retried after wake
             }
             // Acquire-ordering against the releasing RMW chain.
@@ -606,47 +656,39 @@ Simulator::runImpl(Program &program, RunObserver *observer)
                 const std::uint64_t key = (1ULL << 63) | cell;
                 clocks.acquire(tid, key);
             }
-            core_cycles[core] +=
-                cost.base_sync + (tool ? cost.analysis_sync : 0);
-            ++result.sync_ops;
-            pmu.recordEvent(core, pmu::EventType::kSyncOps);
-            tc.consume();
-            pmu.retireOp(core, fault_ptr);
+            core_cycles[core] += sync_cost;
+            retireSync(tc, core);
             break;
           }
 
           case OpType::kLock: {
             if (!sync.tryLock(tid, op.arg, now)) {
-                tc.setState(ThreadState::kBlocked);
-                sched.onNotRunnable(tid);
+                block(tc);
                 break;  // op stays pending; retried after wake
             }
             if (tool) {
                 clocks.acquire(tid, op.arg);
                 detector->onLock(tid, op.arg);
             }
-            core_cycles[core] +=
-                cost.base_sync + (tool ? cost.analysis_sync : 0);
-            ++result.sync_ops;
-            pmu.recordEvent(core, pmu::EventType::kSyncOps);
-            tc.consume();
-            pmu.retireOp(core, fault_ptr);
+            core_cycles[core] += sync_cost;
+            retireSync(tc, core);
             break;
           }
 
           case OpType::kUnlock: {
+            if (sync.owner(op.arg) != tid) {
+                stop(RunStatus::kSyncMisuse, "unlock of mutex ", op.arg,
+                     " not held by thread ", tid);
+                goto run_stopped;
+            }
             if (tool) {
                 clocks.release(tid, op.arg);
                 detector->onUnlock(tid, op.arg);
             }
-            core_cycles[core] +=
-                cost.base_sync + (tool ? cost.analysis_sync : 0);
+            core_cycles[core] += sync_cost;
             if (auto w = sync.unlock(tid, op.arg, core_cycles[core]))
                 wake(*w);
-            ++result.sync_ops;
-            pmu.recordEvent(core, pmu::EventType::kSyncOps);
-            tc.consume();
-            pmu.retireOp(core, fault_ptr);
+            retireSync(tc, core);
             break;
           }
 
@@ -657,8 +699,7 @@ Simulator::runImpl(Program &program, RunObserver *observer)
                 ? sync.tryWrLock(tid, op.arg, now)
                 : sync.tryRdLock(tid, op.arg, now);
             if (!granted) {
-                tc.setState(ThreadState::kBlocked);
-                sched.onNotRunnable(tid);
+                block(tc);
                 break;  // retried after handoff wake
             }
             if (tool) {
@@ -672,18 +713,21 @@ Simulator::runImpl(Program &program, RunObserver *observer)
                 detector->onLock(tid, (1ULL << 62) | op.arg,
                                  wants_write);
             }
-            core_cycles[core] +=
-                cost.base_sync + (tool ? cost.analysis_sync : 0);
-            ++result.sync_ops;
-            pmu.recordEvent(core, pmu::EventType::kSyncOps);
-            tc.consume();
-            pmu.retireOp(core, fault_ptr);
+            core_cycles[core] += sync_cost;
+            retireSync(tc, core);
             break;
           }
 
           case OpType::kRdUnlock:
           case OpType::kWrUnlock: {
             const bool was_write = op.type == OpType::kWrUnlock;
+            if (was_write ? sync.rwWriter(op.arg) != tid
+                          : !sync.rdHolds(tid, op.arg)) {
+                stop(RunStatus::kSyncMisuse, was_write ? "wr" : "rd",
+                     "-unlock of rwlock ", op.arg, " not held by thread ",
+                     tid);
+                goto run_stopped;
+            }
             if (tool) {
                 if (was_write)
                     clocks.wrRelease(tid, op.arg);
@@ -691,34 +735,31 @@ Simulator::runImpl(Program &program, RunObserver *observer)
                     clocks.rdRelease(tid, op.arg);
                 detector->onUnlock(tid, (1ULL << 62) | op.arg);
             }
-            core_cycles[core] +=
-                cost.base_sync + (tool ? cost.analysis_sync : 0);
+            core_cycles[core] += sync_cost;
             const auto woken = was_write
                 ? sync.wrUnlock(tid, op.arg, core_cycles[core])
                 : sync.rdUnlock(tid, op.arg, core_cycles[core]);
             for (const Wakeup &w : woken)
                 wake(w);
-            ++result.sync_ops;
-            pmu.recordEvent(core, pmu::EventType::kSyncOps);
-            tc.consume();
-            pmu.retireOp(core, fault_ptr);
+            retireSync(tc, core);
             break;
           }
 
           case OpType::kBarrier: {
-            core_cycles[core] +=
-                cost.base_sync + (tool ? cost.analysis_sync : 0);
             const std::uint32_t expected =
                 op.arg2 != 0 ? op.arg2 : nthreads;
-            ++result.sync_ops;
-            pmu.recordEvent(core, pmu::EventType::kSyncOps);
-            tc.consume();
-            pmu.retireOp(core, fault_ptr);
+            if (const char *why =
+                    sync.barrierMisuse(tid, op.arg, expected)) {
+                stop(RunStatus::kSyncMisuse, why, " at barrier ", op.arg,
+                     " (thread ", tid, ", count ", expected, ")");
+                goto run_stopped;
+            }
+            core_cycles[core] += sync_cost;
+            retireSync(tc, core);
             auto released = sync.arriveBarrier(tid, op.arg, expected,
                                                core_cycles[core]);
             if (!released) {
-                tc.setState(ThreadState::kBlocked);
-                sched.onNotRunnable(tid);
+                block(tc);
                 break;
             }
             // Last arriver: all-to-all happens-before, wake everyone.
@@ -740,43 +781,43 @@ Simulator::runImpl(Program &program, RunObserver *observer)
           }
 
           case OpType::kThreadCreate: {
+            if (op.arg >= nthreads || op.arg == tid) {
+                stop(RunStatus::kSyncMisuse, "create of invalid thread ",
+                     op.arg, " by thread ", tid);
+                goto run_stopped;
+            }
             const auto child = static_cast<ThreadId>(op.arg);
-            hdrdAssert(child < nthreads && child != tid,
-                       "create of invalid thread ", child);
             ThreadContext &cc = ctxs[child];
-            hdrdAssert(cc.state() == ThreadState::kNotStarted,
-                       "thread ", child, " created twice");
-            core_cycles[core] +=
-                cost.base_sync + (tool ? cost.analysis_sync : 0);
+            if (cc.state() != ThreadState::kNotStarted) {
+                stop(RunStatus::kSyncMisuse, "thread ", child,
+                     " created twice");
+                goto run_stopped;
+            }
+            core_cycles[core] += sync_cost;
             if (tool)
                 clocks.fork(tid, child);
             cc.setState(ThreadState::kRunnable);
             cc.setResumeTime(core_cycles[core]);
             sched.onRunnable(child, core_cycles[core]);
-            ++result.sync_ops;
-            pmu.recordEvent(core, pmu::EventType::kSyncOps);
-            tc.consume();
-            pmu.retireOp(core, fault_ptr);
+            retireSync(tc, core);
             break;
           }
 
           case OpType::kThreadJoin: {
+            if (op.arg >= nthreads || op.arg == tid) {
+                stop(RunStatus::kSyncMisuse, "join of invalid thread ",
+                     op.arg, " by thread ", tid);
+                goto run_stopped;
+            }
             const auto target = static_cast<ThreadId>(op.arg);
-            hdrdAssert(target < nthreads && target != tid,
-                       "join of invalid thread ", target);
-            core_cycles[core] +=
-                cost.base_sync + (tool ? cost.analysis_sync : 0);
-            ++result.sync_ops;
-            pmu.recordEvent(core, pmu::EventType::kSyncOps);
-            tc.consume();
-            pmu.retireOp(core, fault_ptr);
+            core_cycles[core] += sync_cost;
+            retireSync(tc, core);
             if (ctxs[target].state() == ThreadState::kFinished) {
                 if (tool)
                     clocks.join(tid, target);
             } else {
                 sync.addJoinWaiter(tid, target);
-                tc.setState(ThreadState::kBlocked);
-                sched.onNotRunnable(tid);
+                block(tc);
             }
             break;
           }
@@ -830,6 +871,7 @@ Simulator::runImpl(Program &program, RunObserver *observer)
         }
     }
 
+run_stopped:
     finalize_into(result);
     return result;
 }
@@ -837,6 +879,12 @@ Simulator::runImpl(Program &program, RunObserver *observer)
 void
 RunResult::dump(std::ostream &os) const
 {
+    // Only a failed run says so: completed runs keep the frozen
+    // golden dump format.
+    if (!completed()) {
+        os << "run.status " << runStatusName(status) << '\n'
+           << "run.error " << error << '\n';
+    }
     os << "run.wall_cycles " << wall_cycles << '\n'
        << "run.total_ops " << total_ops << '\n'
        << "run.mem_accesses " << mem_accesses << '\n'

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/histogram.hh"
@@ -110,9 +111,34 @@ struct SimConfig
     std::uint32_t threads_per_core = 1;
 };
 
+/**
+ * How a run ended. Anything but kCompleted is an input-dependent
+ * failure (or a cancellation): the result's counters then describe
+ * a prefix of the run, and RunResult::error says what went wrong.
+ */
+enum class RunStatus : std::uint8_t
+{
+    kCompleted = 0,
+    kDeadlock,    ///< no runnable thread, but not all finished
+    kSyncMisuse,  ///< unlock of an unheld lock, bad barrier/create/join
+    kCancelled,   ///< RunObserver::cancel fired
+};
+
+/** Printable name for a RunStatus. */
+const char *runStatusName(RunStatus status);
+
 /** Everything measured during one run. */
 struct RunResult
 {
+    /** How the run ended; dumped only when not kCompleted. */
+    RunStatus status = RunStatus::kCompleted;
+
+    /** What went wrong (empty for a completed run). */
+    std::string error;
+
+    /** The program ran to completion. */
+    bool completed() const { return status == RunStatus::kCompleted; }
+
     /** Wall time: max over per-core cycle clocks. */
     Cycle wall_cycles = 0;
 
@@ -211,11 +237,11 @@ struct RunResult
  * reports appear in discovery order; a partial's list is a prefix of
  * the final list).
  *
- * Cancellation: @p cancel is polled each iteration, and also breaks
- * the no-runnable-thread deadlock panic — a cancelled program whose
- * blocked threads will never be woken (a streaming session aborted
- * mid-upload) unwinds cleanly instead of killing the process. After
- * a cancelled run @p cancelled is set and the result is meaningless.
+ * Cancellation: @p cancel is polled each iteration. A cancelled run
+ * ends with RunStatus::kCancelled — also when it was cancelled while
+ * every thread is blocked (a streaming session aborted mid-upload,
+ * whose threads wait for records that will never come), which would
+ * otherwise end as a deadlock.
  */
 struct RunObserver
 {
@@ -227,9 +253,6 @@ struct RunObserver
 
     /** When set and true, the run unwinds at the next check. */
     const std::atomic<bool> *cancel = nullptr;
-
-    /** Out: the run ended through cancellation, not completion. */
-    bool cancelled = false;
 };
 
 /**
@@ -246,7 +269,10 @@ class Simulator
     explicit Simulator(const SimConfig &config);
 
     /**
-     * Execute @p program to completion and report. Internally
+     * Execute @p program and report. A program that deadlocks or
+     * misuses a sync op ends the run with that RunStatus instead of
+     * aborting the process (programs may be untrusted traces), so
+     * callers check RunResult::completed(). Internally
      * dispatches to a per-ToolMode specialization of the main loop
      * so regime checks constant-fold out of the access path.
      * @param observer optional partial-report/cancel hooks; null

@@ -60,14 +60,11 @@ SyncObjects::arriveBarrier(ThreadId tid, std::uint64_t id,
                            std::uint32_t expected, Cycle now)
 {
     hdrdAssert(expected >= 1, "barrier needs at least one participant");
+    if (const char *why = barrierMisuse(tid, id, expected))
+        panic(why, " (thread ", tid, ", barrier ", id, ")");
     Barrier &barrier = barriers_[id];
     if (barrier.arrived.empty())
         barrier.expected = expected;
-    hdrdAssert(barrier.expected == expected,
-               "inconsistent participant count at barrier ", id);
-    hdrdAssert(std::find(barrier.arrived.begin(), barrier.arrived.end(),
-                         tid) == barrier.arrived.end(),
-               "thread ", tid, " arrived twice at barrier ", id);
     barrier.arrived.push_back(tid);
     barrier.max_arrival = std::max(barrier.max_arrival, now);
 
@@ -83,6 +80,22 @@ SyncObjects::arriveBarrier(ThreadId tid, std::uint64_t id,
     barrier.arrived.clear();
     barrier.max_arrival = 0;
     return woken;
+}
+
+const char *
+SyncObjects::barrierMisuse(ThreadId tid, std::uint64_t id,
+                           std::uint32_t expected) const
+{
+    const auto it = barriers_.find(id);
+    if (it == barriers_.end() || it->second.arrived.empty())
+        return nullptr;  // a fresh generation takes any count
+    const Barrier &barrier = it->second;
+    if (barrier.expected != expected)
+        return "inconsistent participant count";
+    if (std::find(barrier.arrived.begin(), barrier.arrived.end(), tid)
+        != barrier.arrived.end())
+        return "thread arrived twice in one generation";
+    return nullptr;
 }
 
 std::vector<ThreadId>
@@ -211,6 +224,15 @@ SyncObjects::rwReaders(std::uint64_t id) const
     return it == rwlocks_.end() ? 0 : it->second.readers.size();
 }
 
+bool
+SyncObjects::rdHolds(ThreadId tid, std::uint64_t id) const
+{
+    const auto it = rwlocks_.find(id);
+    return it != rwlocks_.end()
+        && std::count(it->second.readers.begin(),
+                      it->second.readers.end(), tid) != 0;
+}
+
 std::vector<Wakeup>
 SyncObjects::onAtomicRmw(std::uint64_t key, Cycle now)
 {
@@ -297,6 +319,38 @@ SyncObjects::anyWaiters() const
             return true;
     }
     return !join_waiters_.empty();
+}
+
+std::string
+SyncObjects::blockedOn(ThreadId tid) const
+{
+    const auto has = [tid](const auto &threads) {
+        return std::find(threads.begin(), threads.end(), tid)
+            != threads.end();
+    };
+    for (const auto &[id, mutex] : mutexes_) {
+        if (has(mutex.waiters))
+            return "mutex " + std::to_string(id);
+    }
+    for (const auto &[id, lock] : rwlocks_) {
+        if (lock.queued(tid))
+            return "rwlock " + std::to_string(id);
+    }
+    for (const auto &[id, barrier] : barriers_) {
+        if (has(barrier.arrived))
+            return "barrier " + std::to_string(id);
+    }
+    for (const auto &[key, cell] : atomics_) {
+        for (const auto &[waiter, threshold] : cell.waiters) {
+            if (waiter == tid)
+                return "atomic cell " + std::to_string(key);
+        }
+    }
+    for (const auto &[target, waiters] : join_waiters_) {
+        if (has(waiters))
+            return "join of thread " + std::to_string(target);
+    }
+    return "";
 }
 
 } // namespace hdrd::runtime

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -63,6 +64,15 @@ class SyncObjects
         ThreadId tid, std::uint64_t id, std::uint32_t expected,
         Cycle now);
 
+    /**
+     * Why arriveBarrier(@p tid, @p id, @p expected) would break the
+     * barrier's rules — a participant count that disagrees with the
+     * filling generation's, or a second arrival in one generation —
+     * or nullptr when the arrival is valid.
+     */
+    const char *barrierMisuse(ThreadId tid, std::uint64_t id,
+                              std::uint32_t expected) const;
+
     /** Threads currently parked at barrier @p id. */
     std::vector<ThreadId> barrierWaiters(std::uint64_t id) const;
 
@@ -85,6 +95,9 @@ class SyncObjects
 
     /** Current read holders of rwlock @p id. */
     std::size_t rwReaders(std::uint64_t id) const;
+
+    /** True when @p tid holds rwlock @p id for reading. */
+    bool rdHolds(ThreadId tid, std::uint64_t id) const;
 
     /**
      * One atomic RMW executed on atomic cell @p key at time @p now.
@@ -117,6 +130,12 @@ class SyncObjects
 
     /** Any thread blocked on any object (deadlock diagnostics). */
     bool anyWaiters() const;
+
+    /**
+     * The object @p tid is blocked on, e.g. "mutex 2" or "join of
+     * thread 3"; empty when it waits on nothing (deadlock reports).
+     */
+    std::string blockedOn(ThreadId tid) const;
 
   private:
     struct Mutex

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -15,6 +14,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "trace/trace_io.hh"
+
 namespace hdrd::service
 {
 
@@ -25,12 +26,9 @@ namespace
 std::uint64_t
 parseRetryAfter(const std::string &json)
 {
-    const std::string key = "\"retry_after_ms\": ";
-    const std::size_t at = json.find(key);
-    if (at == std::string::npos)
-        return 0;
-    return std::strtoull(json.c_str() + at + key.size(), nullptr,
-                         10);
+    std::int64_t ms = 0;
+    jsonNumber(json, "retry_after_ms", ms);
+    return static_cast<std::uint64_t>(ms);
 }
 
 } // namespace
@@ -38,13 +36,10 @@ parseRetryAfter(const std::string &json)
 std::string
 serverStateLine(const std::string &stats_json)
 {
-    const std::string key = "\"server.draining\": ";
-    const std::size_t at = stats_json.find(key);
-    if (at == std::string::npos)
+    std::int64_t draining = 0;
+    if (!jsonNumber(stats_json, "server.draining", draining))
         return "";
-    const long long value = std::strtoll(
-        stats_json.c_str() + at + key.size(), nullptr, 10);
-    return value != 0 ? "state: DRAINING\n" : "state: RUNNING\n";
+    return draining != 0 ? "state: DRAINING\n" : "state: RUNNING\n";
 }
 
 Client::~Client()
@@ -314,10 +309,8 @@ Client::submitStream(const JobOptions &options,
     // while it has data queued — a blocking write here is how the
     // classic two-sided pipe deadlock happens.
     constexpr std::size_t kChunk = 64 * 1024;
-    std::string rx;
-    std::size_t rx_pos = 0;
-    std::string tx;
-    std::size_t tx_pos = 0;
+    trace::ByteQueue rx;
+    trace::ByteQueue tx;
     std::uint64_t granted = 0;
     std::uint64_t sent = 0;
     bool eof = false;
@@ -393,9 +386,7 @@ Client::submitStream(const JobOptions &options,
 
     while (!done) {
         // Top up the outbound buffer within the credit window.
-        if (tx_pos == tx.size() && !eof) {
-            tx.clear();
-            tx_pos = 0;
+        if (tx.size() == 0 && !eof) {
             if (sent < granted) {
                 const std::size_t want = static_cast<std::size_t>(
                     std::min<std::uint64_t>(kChunk,
@@ -415,7 +406,7 @@ Client::submitStream(const JobOptions &options,
         }
 
         pollfd pfd{fd_, POLLIN, 0};
-        if (tx_pos < tx.size())
+        if (tx.size() > 0)
             pfd.events |= POLLOUT;
         const int rc = ::poll(&pfd, 1, -1);
         if (rc < 0) {
@@ -429,10 +420,9 @@ Client::submitStream(const JobOptions &options,
             break;
         }
 
-        if ((pfd.revents & POLLOUT) && tx_pos < tx.size()) {
-            const ssize_t n = ::send(fd_, tx.data() + tx_pos,
-                                     tx.size() - tx_pos,
-                                     MSG_NOSIGNAL);
+        if ((pfd.revents & POLLOUT) && tx.size() > 0) {
+            const ssize_t n =
+                ::send(fd_, tx.data(), tx.size(), MSG_NOSIGNAL);
             if (n < 0) {
                 if (errno != EAGAIN && errno != EWOULDBLOCK
                     && errno != EINTR) {
@@ -440,53 +430,43 @@ Client::submitStream(const JobOptions &options,
                     break;
                 }
             } else {
-                tx_pos += static_cast<std::size_t>(n);
+                tx.consume(static_cast<std::size_t>(n));
             }
         }
 
         if (pfd.revents & (POLLIN | POLLHUP)) {
-            char buf[64 * 1024];
-            const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+            const ssize_t n = ::recv(fd_, rx.reserve(kChunk), kChunk, 0);
+            const int err = errno;
+            rx.commit(n > 0 ? static_cast<std::size_t>(n) : 0);
             if (n == 0) {
                 fail(ECONNRESET);
                 break;
             }
-            if (n < 0) {
-                if (errno != EAGAIN && errno != EWOULDBLOCK
-                    && errno != EINTR) {
-                    fail(errno);
-                    break;
-                }
-            } else {
-                rx.append(buf, static_cast<std::size_t>(n));
+            if (n < 0 && err != EAGAIN && err != EWOULDBLOCK
+                && err != EINTR) {
+                fail(err);
+                break;
             }
 
             // Parse every complete frame buffered so far.
-            while (!done
-                   && rx.size() - rx_pos >= sizeof(FrameHeader)) {
+            while (!done && rx.size() >= sizeof(FrameHeader)) {
                 FrameHeader header;
-                std::memcpy(&header, rx.data() + rx_pos,
-                            sizeof(header));
+                std::memcpy(&header, rx.data(), sizeof(header));
                 if (header.magic != kFrameMagic
                     || !validFrameType(header.type)
                     || header.length > kMaxFrameLength) {
                     fail(EPROTO);
                     break;
                 }
-                if (rx.size() - rx_pos
-                    < sizeof(header) + header.length)
+                if (rx.size() < sizeof(header) + header.length)
                     break;
                 std::string payload(
-                    rx.data() + rx_pos + sizeof(header),
+                    rx.data() + sizeof(header),
                     static_cast<std::size_t>(header.length));
-                rx_pos += sizeof(header)
-                    + static_cast<std::size_t>(header.length);
+                rx.consume(sizeof(header)
+                           + static_cast<std::size_t>(header.length));
                 handleFrame(static_cast<FrameType>(header.type),
                             std::move(payload));
-            }
-            if (rx_pos > 0 && rx_pos == rx.size()) {
-                rx.clear();
-                rx_pos = 0;
             }
         }
     }

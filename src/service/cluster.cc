@@ -1,11 +1,11 @@
 #include "service/cluster.hh"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
+
+#include "service/protocol.hh"
 
 namespace hdrd::service
 {
@@ -68,32 +68,6 @@ matchBraces(const std::string &doc, std::size_t at)
     return std::string::npos;
 }
 
-/** First integer following "key": inside @p json (false = absent). */
-bool
-findInt(const std::string &json, const std::string &key,
-        std::int64_t &out)
-{
-    const std::string needle = "\"" + key + "\": ";
-    const std::size_t at = json.find(needle);
-    if (at == std::string::npos)
-        return false;
-    out = std::strtoll(json.c_str() + at + needle.size(), nullptr,
-                       10);
-    return true;
-}
-
-bool
-findDouble(const std::string &json, const std::string &key,
-           double &out)
-{
-    const std::string needle = "\"" + key + "\": ";
-    const std::size_t at = json.find(needle);
-    if (at == std::string::npos)
-        return false;
-    out = std::strtod(json.c_str() + at + needle.size(), nullptr);
-    return true;
-}
-
 /**
  * Byte span of the {...} value of a top-level "key" in a metrics
  * document ("" when absent).
@@ -146,14 +120,6 @@ pairsOf(const std::string &section)
         at = section.find('"', value_end);
     }
     return out;
-}
-
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
-    return buf;
 }
 
 } // namespace
@@ -235,9 +201,9 @@ writeClusterReport(std::vector<std::string> reports)
     std::int64_t unique = 0, dynamic = 0;
     for (const std::string &report : reports) {
         std::int64_t v = 0;
-        if (findInt(report, "unique", v))
+        if (jsonNumber(report, "unique", v))
             unique += v;
-        if (findInt(report, "dynamic", v))
+        if (jsonNumber(report, "dynamic", v))
             dynamic += v;
     }
 
@@ -287,10 +253,10 @@ mergeMetrics(const std::vector<std::string> &docs)
             Hist &h = hists[name];
             std::int64_t count = 0, lo = 0, hi = 0;
             double mean = 0.0;
-            findInt(value, "count", count);
-            findDouble(value, "mean", mean);
-            findInt(value, "min", lo);
-            findInt(value, "max", hi);
+            jsonNumber(value, "count", count);
+            jsonNumber(value, "mean", mean);
+            jsonNumber(value, "min", lo);
+            jsonNumber(value, "max", hi);
             if (count <= 0)
                 continue;
             h.count += count;
@@ -330,7 +296,7 @@ mergeMetrics(const std::vector<std::string> &docs)
         out += sep;
         out += "\n    \"" + name + "\": {\"count\": "
             + std::to_string(h.count) + ", \"mean\": "
-            + fmtDouble(h.count > 0
+            + jsonFixed(h.count > 0
                             ? h.mean_weight
                                 / static_cast<double>(h.count)
                             : 0.0)

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include "service/metrics.hh"
+#include "service/server.hh"
 #include "stream/stream_session.hh"
 #include "trace/trace_format.hh"
 
@@ -29,38 +30,11 @@ constexpr std::uint64_t kDrainCap = 16ULL << 20;
 /** Socket bytes pulled per readiness event. */
 constexpr std::size_t kReadChunk = 64 * 1024;
 
-/** Record-decode batch size. */
-constexpr std::size_t kBatch = 512;
-
-std::uint64_t
-usSince(Clock::time_point t0, Clock::time_point t1)
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-            .count());
-}
-
 } // namespace
 
-std::size_t
-Connection::BufSource::read(char *dst, std::size_t n)
-{
-    const std::uint64_t trace_left =
-        conn_.trace_total_ - consumed_;
-    n = static_cast<std::size_t>(std::min<std::uint64_t>(
-        std::min<std::uint64_t>(n, trace_left),
-        conn_.rxAvailable()));
-    if (n == 0)
-        return 0;
-    std::memcpy(dst, conn_.rxData(), n);
-    conn_.rxConsume(n);
-    consumed_ += n;
-    return n;
-}
-
 Connection::Connection(int fd, std::uint64_t id,
-                       ConnectionHost &host)
-    : fd_(fd), id_(id), host_(host),
+                       Server &server)
+    : fd_(fd), id_(id), server_(server),
       token_(std::make_shared<std::atomic<bool>>(true))
 {
 }
@@ -77,25 +51,11 @@ Connection::~Connection()
         ::close(fd_);
 }
 
-void
-Connection::rxConsume(std::size_t n)
-{
-    rx_pos_ += n;
-    if (rx_pos_ == rx_.size()) {
-        rx_.clear();
-        rx_pos_ = 0;
-    } else if (rx_pos_ >= 256 * 1024 && rx_pos_ >= rx_.size() / 2) {
-        // Compact once the dead prefix dominates the buffer.
-        rx_.erase(0, rx_pos_);
-        rx_pos_ = 0;
-    }
-}
-
 bool
 Connection::rxPaused() const
 {
     const std::uint32_t cap =
-        std::max<std::uint32_t>(1, host_.maxPipeline());
+        std::max<std::uint32_t>(1, server_.maxPipeline());
     // Unflushed responses count against the cap: a client that
     // pipelines but never reads stalls its own connection instead of
     // growing the daemon's outbound queue without bound.
@@ -124,17 +84,15 @@ Connection::onReadable()
     if (closing_ || rxPaused())
         return true;
 
-    const std::size_t old = rx_.size();
-    rx_.resize(old + kReadChunk);
+    char *dst = rx_.reserve(kReadChunk);
     ssize_t got;
     do {
-        got = ::read(fd_, rx_.data() + old, kReadChunk);
+        got = ::read(fd_, dst, kReadChunk);
     } while (got < 0 && errno == EINTR);
-    if (got < 0) {
-        rx_.resize(old);
-        return errno == EAGAIN || errno == EWOULDBLOCK;
-    }
-    rx_.resize(old + static_cast<std::size_t>(got));
+    const int read_errno = errno;
+    rx_.commit(got > 0 ? static_cast<std::size_t>(got) : 0);
+    if (got < 0)
+        return read_errno == EAGAIN || read_errno == EWOULDBLOCK;
     if (got == 0)
         return false;  // peer closed
     return pump();
@@ -215,10 +173,10 @@ Connection::pump()
 Connection::Step
 Connection::handleFrameHeader()
 {
-    if (rxAvailable() < sizeof(FrameHeader))
+    if (rx_.size() < sizeof(FrameHeader))
         return Step::kBlocked;
-    std::memcpy(&header_, rxData(), sizeof(header_));
-    rxConsume(sizeof(header_));
+    std::memcpy(&header_, rx_.data(), sizeof(header_));
+    rx_.consume(sizeof(header_));
 
     if (header_.magic != kFrameMagic) {
         protocolError("bad frame magic");
@@ -234,7 +192,7 @@ Connection::handleFrameHeader()
                       + " exceeds protocol limit");
         return Step::kMore;
     }
-    host_.hostMetrics().counter("server.frames_received").add();
+    server_.metrics().counter("server.frames_received").add();
 
     switch (static_cast<FrameType>(header_.type)) {
       case FrameType::kPing:
@@ -312,199 +270,27 @@ Connection::handleFrameHeader()
 Connection::Step
 Connection::handleControl()
 {
-    if (rxAvailable() < control_need_)
+    if (rx_.size() < control_need_)
         return Step::kBlocked;
-    const auto type = static_cast<FrameType>(header_.type);
-    if (type == FrameType::kSubmitStream
-        || type == FrameType::kSubmitEnd
-        || type == FrameType::kAttach)
-        return handleStreamControl();
-    if (type == FrameType::kHello && control_need_ >= 4) {
-        std::uint32_t client_minor = 0;
-        std::memcpy(&client_minor, rxData(), sizeof(client_minor));
-        // Informational: every 1.x client speaks a subset of what
-        // this server answers, so nothing to negotiate down.
-    }
-    rxConsume(control_need_);
+    const std::string payload(rx_.data(), control_need_);
+    rx_.consume(control_need_);
     const std::uint64_t leftover = header_.length - control_need_;
 
-    switch (type) {
+    switch (static_cast<FrameType>(header_.type)) {
       case FrameType::kPing:
         queueFrame(FrameType::kPong,
                    std::string("{\"status\": \"ok\"}\n"));
         break;
       case FrameType::kStats:
-        host_.hostMetrics().counter("server.stats_requests").add();
-        queueFrame(FrameType::kStatsReply, host_.statsJson());
+        server_.metrics().counter("server.stats_requests").add();
+        queueFrame(FrameType::kStatsReply, server_.statsJson());
         break;
       case FrameType::kHello:
-        host_.hostMetrics().counter("server.hello_requests").add();
-        queueFrame(FrameType::kHelloReply, host_.helloJson());
+        // The client's minor version is informational: every 1.x
+        // client speaks a subset of what this server answers.
+        server_.metrics().counter("server.hello_requests").add();
+        queueFrame(FrameType::kHelloReply, server_.helloJson());
         break;
-      default:
-        break;
-    }
-    if (dead_)
-        return Step::kFatal;
-    if (leftover > kDrainCap) {
-        // Implausible control payload: answer, then hang up.
-        closing_ = true;
-        return Step::kMore;
-    }
-    drain_left_ = leftover;
-    state_ = leftover > 0 ? RxState::kDrain : RxState::kFrameHeader;
-    return Step::kMore;
-}
-
-Connection::Step
-Connection::handleJobPrefix()
-{
-    if (rxAvailable() < prefix_need_)
-        return Step::kBlocked;
-    const char *p = rxData();
-    if (keyed_) {
-        std::memcpy(&job_id_, p, sizeof(job_id_));
-        p += sizeof(job_id_);
-        job_id_valid_ = true;
-    }
-    std::memcpy(&options_, p, sizeof(options_));
-    rxConsume(prefix_need_);
-    trace_total_ = header_.length - prefix_need_;
-
-    std::string err;
-    if (!validateJobOptions(options_, err))
-        return rejectJob(err, trace_total_);
-    if (trace_total_ > host_.maxTraceBytes()) {
-        host_.hostMetrics().counter("server.jobs_invalid").add();
-        // A body past the server limit is never worth draining.
-        protocolError("trace exceeds server limit of "
-                      + std::to_string(host_.maxTraceBytes())
-                      + " bytes");
-        return Step::kMore;
-    }
-
-    source_.reset();
-    reader_.emplace(source_, trace_total_);
-    header_done_ = false;
-    building_.clear();
-    state_ = RxState::kTrace;
-    return Step::kMore;
-}
-
-Connection::Step
-Connection::handleTrace()
-{
-    Metrics &metrics = host_.hostMetrics();
-
-    if (!header_done_) {
-        // Validate the header the moment its bytes are in — a bad
-        // trace is refused before one record byte is buffered. The
-        // reader reads at most min(total, sizeof header) bytes here.
-        const std::uint64_t gate = std::min<std::uint64_t>(
-            trace_total_, sizeof(trace::TraceHeader));
-        if (rxAvailable() < gate)
-            return Step::kBlocked;
-        if (!reader_->readHeader()) {
-            metrics.counter("server.traces_rejected").add();
-            return rejectJob("trace rejected: " + reader_->error(),
-                             trace_total_ - source_.consumed());
-        }
-        header_done_ = true;
-        building_.assign(reader_->nthreads(), {});
-    }
-
-    // Decode whole records as they arrive; partial records stay
-    // buffered until their remaining bytes land.
-    trace::TraceRecord batch[kBatch];
-    while (!reader_->done()) {
-        const std::uint64_t avail = std::min<std::uint64_t>(
-            rxAvailable(), trace_total_ - source_.consumed());
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(
-                kBatch, avail / sizeof(trace::TraceRecord)));
-        if (want == 0)
-            return Step::kBlocked;
-        const std::size_t got = reader_->next(batch, want);
-        if (got == 0) {
-            if (!reader_->error().empty()) {
-                metrics.counter("server.traces_rejected").add();
-                return rejectJob(
-                    "trace rejected: " + reader_->error(),
-                    trace_total_ - source_.consumed());
-            }
-            break;
-        }
-        for (std::size_t i = 0; i < got; ++i)
-            building_[batch[i].tid].push_back(batch[i].toOp());
-    }
-    if (!reader_->done()) {
-        // Defensive: a healthy reader with every byte consumed is
-        // done; anything else is a parser invariant violation.
-        metrics.counter("server.traces_rejected").add();
-        return rejectJob("trace rejected: inconsistent stream state",
-                         trace_total_ - source_.consumed());
-    }
-    return finishTrace();
-}
-
-Connection::Step
-Connection::finishTrace()
-{
-    Metrics &metrics = host_.hostMetrics();
-    metrics.counter("server.trace_bytes_received").add(trace_total_);
-    metrics.histogram("job.trace_read_us")
-        .record(usSince(job_started_, Clock::now()));
-
-    auto data = std::make_shared<trace::TraceData>(
-        trace::TraceData::fromOps(reader_->name(),
-                                  std::move(building_)));
-    data->setFaultSpec(reader_->faultSpec());
-    building_.clear();
-
-    // Resolve the fault spec exactly like `hdrd_sim --replay`: an
-    // explicit override wins, else the trace's recorded spec unless
-    // the client opted out.
-    std::string spec(options_.fault_spec.data());
-    if (spec.empty() && !(options_.flags & kJobIgnoreTraceFaults))
-        spec = data->faultSpec();
-    pmu::FaultConfig fault_config;
-    std::string err;
-    if (!spec.empty() && spec != "none"
-        && !pmu::resolveFaultSpec(spec, fault_config, err))
-        return rejectJob("trace carries unusable fault spec: " + err,
-                         0);
-
-    const DispatchOutcome outcome = host_.dispatchJob(
-        *this, keyed_, job_id_, options_, std::move(data),
-        fault_config);
-    if (!outcome.accepted) {
-        queueFrame(keyed_ ? FrameType::kJobBusy : FrameType::kBusy,
-                   keyed_ ? jobPayload(job_id_, outcome.busy_json)
-                          : outcome.busy_json);
-        if (dead_)
-            return Step::kFatal;
-    } else {
-        ++in_flight_;
-        if (!keyed_) {
-            // HDS1.0 sequential semantics: nothing further is parsed
-            // until this SUBMIT's response has been queued.
-            sequential_wait_ = true;
-        }
-    }
-    resetFrame();
-    state_ = RxState::kFrameHeader;
-    return Step::kMore;
-}
-
-Connection::Step
-Connection::handleStreamControl()
-{
-    std::string payload(rxData(), control_need_);
-    rxConsume(control_need_);
-    const std::uint64_t leftover = header_.length - control_need_;
-    const auto type = static_cast<FrameType>(header_.type);
-
-    switch (type) {
       case FrameType::kSubmitStream: {
         std::uint64_t job_id = 0;
         std::string name;
@@ -515,7 +301,7 @@ Connection::handleStreamControl()
             return Step::kMore;
         }
         if (!validateJobOptions(options, err)) {
-            host_.hostMetrics().counter("server.jobs_invalid").add();
+            server_.metrics().counter("server.jobs_invalid").add();
             queueFrame(FrameType::kJobError,
                        jobPayload(job_id, jsonError(err)));
         } else if (streams_.count(job_id) != 0) {
@@ -526,7 +312,7 @@ Connection::handleStreamControl()
                                             "connection")));
         } else {
             StreamOpenOutcome outcome =
-                host_.streamOpen(*this, job_id, name, options);
+                server_.streamOpen(*this, job_id, name, options);
             if (outcome.session == nullptr)
                 queueFrame(outcome.busy ? FrameType::kJobBusy
                                         : FrameType::kJobError,
@@ -559,38 +345,123 @@ Connection::handleStreamControl()
             return Step::kMore;
         }
         queueFrame(FrameType::kAttachReply,
-                   jobPayload(follow_id,
-                              host_.streamAttach(*this, follow_id,
-                                                 name)));
+                   jobPayload(follow_id, server_.streamAttach(
+                                             *this, follow_id, name)));
         break;
       }
 
       default:
         break;
     }
+    return finishFrame(leftover);
+}
 
-    if (dead_)
-        return Step::kFatal;
-    if (leftover > kDrainCap) {
-        closing_ = true;
+Connection::Step
+Connection::handleJobPrefix()
+{
+    if (rx_.size() < prefix_need_)
+        return Step::kBlocked;
+    const char *p = rx_.data();
+    if (keyed_) {
+        std::memcpy(&job_id_, p, sizeof(job_id_));
+        p += sizeof(job_id_);
+        job_id_valid_ = true;
+    }
+    std::memcpy(&options_, p, sizeof(options_));
+    rx_.consume(prefix_need_);
+    trace_total_ = header_.length - prefix_need_;
+
+    std::string err;
+    if (!validateJobOptions(options_, err))
+        return rejectJob(err, trace_total_);
+    if (trace_total_ > server_.maxTraceBytes()) {
+        server_.metrics().counter("server.jobs_invalid").add();
+        // A body past the server limit is never worth draining.
+        protocolError("trace exceeds server limit of "
+                      + std::to_string(server_.maxTraceBytes())
+                      + " bytes");
         return Step::kMore;
     }
-    drain_left_ = leftover;
-    state_ = leftover > 0 ? RxState::kDrain : RxState::kFrameHeader;
-    if (leftover == 0)
-        resetFrame();
+
+    trace_start_ = rx_.consumed();
+    ingest_.emplace(rx_, trace_total_, options_);
+    building_.clear();
+    state_ = RxState::kTrace;
     return Step::kMore;
+}
+
+Connection::Step
+Connection::handleTrace()
+{
+    // The ingest decodes only as far as this trace's bytes are
+    // buffered — the header the moment it is in (a bad trace is
+    // refused before one record byte is buffered), then whole
+    // records as they arrive — so it never reads past the trace.
+    const auto available = [this] {
+        return std::min<std::uint64_t>(rx_.size(), traceLeft());
+    };
+    if (!ingest_->headerReady()) {
+        if (!ingest_->readHeader(available()))
+            return ingest_->failed() ? rejectTrace() : Step::kBlocked;
+        building_.assign(ingest_->job().nthreads, {});
+    }
+    const bool ok = ingest_->decode(
+        [this](const trace::TraceRecord *records, std::size_t n) {
+            for (std::size_t i = 0; i < n; ++i)
+                building_[records[i].tid].push_back(records[i].toOp());
+        },
+        available());
+    if (!ok)
+        return rejectTrace();
+    if (!ingest_->done())
+        return Step::kBlocked;
+    return finishTrace();
+}
+
+Connection::Step
+Connection::rejectTrace()
+{
+    server_.metrics().counter("server.traces_rejected").add();
+    return rejectJob(ingest_->error(), traceLeft());
+}
+
+Connection::Step
+Connection::finishTrace()
+{
+    Metrics &metrics = server_.metrics();
+    metrics.counter("server.trace_bytes_received").add(trace_total_);
+    metrics.histogram("job.trace_read_us").recordSince(job_started_);
+
+    const Job &job = ingest_->job();
+    auto data = std::make_shared<trace::TraceData>(
+        trace::TraceData::fromOps(job.trace, std::move(building_)));
+    building_.clear();
+
+    const std::optional<std::string> busy = server_.dispatchJob(
+        *this, keyed_, job_id_, job, std::move(data));
+    if (busy) {
+        queueFrame(keyed_ ? FrameType::kJobBusy : FrameType::kBusy,
+                   keyed_ ? jobPayload(job_id_, *busy) : *busy);
+    } else {
+        ++in_flight_;
+        if (!keyed_) {
+            // HDS1.0 sequential semantics: nothing further is parsed
+            // until this SUBMIT's response has been queued.
+            sequential_wait_ = true;
+        }
+    }
+    return finishFrame();
 }
 
 Connection::Step
 Connection::handleStreamData()
 {
     if (!stream_id_parsed_) {
-        if (rxAvailable() < sizeof(std::uint64_t))
+        if (rx_.size() < sizeof(std::uint64_t))
             return Step::kBlocked;
         std::uint64_t job_id = 0;
-        std::memcpy(&job_id, rxData(), sizeof(job_id));
-        rxConsume(sizeof(job_id));
+        std::memcpy(&job_id, rx_.data(), sizeof(job_id));
+        rx_.consume(sizeof(job_id));
         stream_data_left_ -= sizeof(job_id);
         stream_id_parsed_ = true;
         const auto it = streams_.find(job_id);
@@ -598,44 +469,38 @@ Connection::handleStreamData()
             // The session already answered and retired (e.g. a
             // rejected trace) while the client kept uploading within
             // its credit; discard the remainder to keep framing.
-            drain_left_ = stream_data_left_;
+            const std::uint64_t rest = stream_data_left_;
             stream_data_left_ = 0;
-            state_ = drain_left_ > 0 ? RxState::kDrain
-                                     : RxState::kFrameHeader;
-            if (drain_left_ == 0)
-                resetFrame();
-            return Step::kMore;
+            return finishFrame(rest);
         }
         data_stream_ = it->second;
     }
 
     while (stream_data_left_ > 0) {
         const std::size_t take = static_cast<std::size_t>(
-            std::min<std::uint64_t>(rxAvailable(),
+            std::min<std::uint64_t>(rx_.size(),
                                     stream_data_left_));
         if (take == 0)
             return Step::kBlocked;
         std::string err;
-        if (!data_stream_->feed(rxData(), take, err)) {
+        if (!data_stream_->feed(rx_.data(), take, err)) {
             protocolError(err);
             return Step::kMore;
         }
-        host_.hostMetrics().counter("stream.bytes_received")
+        server_.metrics().counter("stream.bytes_received")
             .add(take);
-        rxConsume(take);
+        rx_.consume(take);
         stream_data_left_ -= take;
     }
-    resetFrame();
-    state_ = RxState::kFrameHeader;
-    return Step::kMore;
+    return finishFrame();
 }
 
 Connection::Step
 Connection::handleDrain()
 {
     const std::size_t take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(drain_left_, rxAvailable()));
-    rxConsume(take);
+        std::min<std::uint64_t>(drain_left_, rx_.size()));
+    rx_.consume(take);
     drain_left_ -= take;
     if (drain_left_ > 0)
         return Step::kBlocked;
@@ -645,10 +510,25 @@ Connection::handleDrain()
 }
 
 Connection::Step
+Connection::finishFrame(std::uint64_t leftover)
+{
+    if (dead_)
+        return Step::kFatal;
+    if (leftover > kDrainCap) {
+        // Implausibly much to discard: answer, then hang up.
+        closing_ = true;
+        return Step::kMore;
+    }
+    drain_left_ = leftover;
+    state_ = RxState::kDrain;
+    return Step::kMore;
+}
+
+Connection::Step
 Connection::rejectJob(const std::string &message,
                       std::uint64_t leftover)
 {
-    host_.hostMetrics().counter("server.jobs_invalid").add();
+    server_.metrics().counter("server.jobs_invalid").add();
     if (leftover > kDrainCap) {
         // Too much unread payload to be worth discarding.
         protocolError(message);
@@ -659,13 +539,7 @@ Connection::rejectJob(const std::string &message,
                    jobPayload(job_id_, jsonError(message)));
     else
         queueFrame(FrameType::kError, jsonError(message));
-    if (dead_)
-        return Step::kFatal;
-    drain_left_ = leftover;
-    state_ = leftover > 0 ? RxState::kDrain : RxState::kFrameHeader;
-    if (leftover == 0)
-        resetFrame();
-    return Step::kMore;
+    return finishFrame(leftover);
 }
 
 void
@@ -727,9 +601,7 @@ Connection::resetFrame()
     prefix_need_ = 0;
     control_need_ = 0;
     trace_total_ = 0;
-    header_done_ = false;
-    reader_.reset();
-    source_.reset();
+    ingest_.reset();
     building_.clear();
     drain_left_ = 0;
     data_stream_.reset();

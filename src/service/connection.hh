@@ -41,7 +41,7 @@
 #include <string>
 #include <vector>
 
-#include "pmu/faults.hh"
+#include "service/job.hh"
 #include "service/protocol.hh"
 #include "trace/trace_io.hh"
 
@@ -53,18 +53,7 @@ class StreamSession;
 namespace hdrd::service
 {
 
-class Connection;
-class Metrics;
-
-/** Verdict of a job handoff to the worker pool. */
-struct DispatchOutcome
-{
-    /** Admitted; the response will be delivered asynchronously. */
-    bool accepted = false;
-
-    /** BUSY reply payload when refused (queue full / stopping). */
-    std::string busy_json;
-};
+class Server;
 
 /** Verdict of a streaming-submission open (HDS1.2). */
 struct StreamOpenOutcome
@@ -79,61 +68,6 @@ struct StreamOpenOutcome
     std::string refusal_json;
 };
 
-/**
- * What a Connection needs from the daemon around it. Implemented by
- * Server; mocked by the unit tests.
- */
-class ConnectionHost
-{
-  public:
-    virtual ~ConnectionHost() = default;
-
-    /**
-     * Hand a fully received, validated job to the worker pool.
-     * @param keyed true for SUBMIT_JOB (job-id-correlated response)
-     */
-    virtual DispatchOutcome dispatchJob(
-        Connection &conn, bool keyed, std::uint64_t job_id,
-        const JobOptions &options,
-        std::shared_ptr<trace::TraceData> data,
-        const pmu::FaultConfig &faults) = 0;
-
-    /**
-     * Open a streaming submission (HDS1.2 SUBMIT_STREAM). On
-     * success the returned session is already started (its initial
-     * CREDIT is on its way as a completion) and the connection feeds
-     * it SUBMIT_DATA bytes directly.
-     */
-    virtual StreamOpenOutcome streamOpen(
-        Connection &conn, std::uint64_t job_id,
-        const std::string &name, const JobOptions &options) = 0;
-
-    /**
-     * Follow a live streaming session by name (HDS1.2 ATTACH).
-     * @return the ATTACH_REPLY status JSON; on success the host
-     *         mirrors the session's subsequent partials and final to
-     *         this connection keyed by @p follow_id.
-     */
-    virtual std::string streamAttach(Connection &conn,
-                                     std::uint64_t follow_id,
-                                     const std::string &name) = 0;
-
-    /** The STATS reply payload. */
-    virtual std::string statsJson() = 0;
-
-    /** The HELLO reply payload (protocol level, limits). */
-    virtual std::string helloJson() = 0;
-
-    /** Shared observability registry. */
-    virtual Metrics &hostMetrics() = 0;
-
-    /** Largest accepted trace payload. */
-    virtual std::uint64_t maxTraceBytes() const = 0;
-
-    /** Per-connection in-flight pipelined job cap. */
-    virtual std::uint32_t maxPipeline() const = 0;
-};
-
 class Connection
 {
   public:
@@ -141,7 +75,7 @@ class Connection
      * Adopt @p fd (set non-blocking by the caller).
      * @param id the shard-unique tag used in the event loop
      */
-    Connection(int fd, std::uint64_t id, ConnectionHost &host);
+    Connection(int fd, std::uint64_t id, Server &server);
 
     /** Closes the socket and invalidates the liveness token. */
     ~Connection();
@@ -198,8 +132,6 @@ class Connection
         return in_flight_ == 0 && outbox_.empty();
     }
 
-    std::uint32_t inFlight() const { return in_flight_; }
-
     /**
      * Liveness token shared with dispatched jobs: cleared when the
      * connection dies so workers skip abandoned work.
@@ -213,7 +145,7 @@ class Connection
     enum class RxState
     {
         kFrameHeader,   ///< accumulating the 16-byte frame header
-        kControl,       ///< PING/STATS/HELLO payload prefix
+        kControl,       ///< PING/STATS/HELLO and stream control
         kJobPrefix,     ///< job id (keyed) + JobOptions
         kTrace,         ///< streaming the TRC2 body into the reader
         kStreamData,    ///< forwarding SUBMIT_DATA into a session
@@ -228,27 +160,11 @@ class Connection
         kFatal,     ///< unrecoverable; drop the connection now
     };
 
-    /** trace::ByteSource over the connection's receive buffer. */
-    class BufSource : public trace::ByteSource
+    /** Bytes of the current trace body not yet consumed. */
+    std::uint64_t traceLeft() const
     {
-      public:
-        explicit BufSource(Connection &conn) : conn_(conn) {}
-        std::size_t read(char *dst, std::size_t n) override;
-
-        /** Trace bytes handed to the reader so far. */
-        std::uint64_t consumed() const { return consumed_; }
-        void reset() { consumed_ = 0; }
-
-      private:
-        Connection &conn_;
-        std::uint64_t consumed_ = 0;
-    };
-
-    /** Bytes buffered but not yet consumed by the state machine. */
-    std::size_t rxAvailable() const { return rx_.size() - rx_pos_; }
-
-    const char *rxData() const { return rx_.data() + rx_pos_; }
-    void rxConsume(std::size_t n);
+        return trace_total_ - (rx_.consumed() - trace_start_);
+    }
 
     /** True while reading is paused by flow control. */
     bool rxPaused() const;
@@ -263,11 +179,11 @@ class Connection
     Step handleStreamData();
     Step handleDrain();
 
-    /** SUBMIT_STREAM / SUBMIT_END / ATTACH (small control frames). */
-    Step handleStreamControl();
-
-    /** Completed trace: resolve faults and dispatch the job. */
+    /** Completed trace: dispatch the job. */
     Step finishTrace();
+
+    /** The ingest refused the trace: answer its error. */
+    Step rejectTrace();
 
     /**
      * Queue an ERROR (job-keyed when applicable), then discard
@@ -276,6 +192,12 @@ class Connection
      */
     Step rejectJob(const std::string &message,
                    std::uint64_t leftover);
+
+    /**
+     * Done with this frame: discard its @p leftover payload bytes,
+     * then parse the next one (close instead past the drain cap).
+     */
+    Step finishFrame(std::uint64_t leftover = 0);
 
     /** Queue a fatal protocol error and close once it flushes. */
     void protocolError(const std::string &message);
@@ -290,12 +212,11 @@ class Connection
 
     int fd_;
     std::uint64_t id_;
-    ConnectionHost &host_;
+    Server &server_;
     std::shared_ptr<std::atomic<bool>> token_;
 
     // --- inbound ---
-    std::string rx_;
-    std::size_t rx_pos_ = 0;
+    trace::ByteQueue rx_;
     RxState state_ = RxState::kFrameHeader;
     FrameHeader header_{};
 
@@ -309,11 +230,10 @@ class Connection
     JobOptions options_{};
     std::size_t prefix_need_ = 0;
 
-    /** Trace-streaming fields. */
-    BufSource source_{*this};
-    std::optional<trace::TraceReader> reader_;
-    bool header_done_ = false;
+    /** Trace-streaming fields (the ingest reads straight off rx_). */
+    std::optional<JobIngest> ingest_;
     std::uint64_t trace_total_ = 0;
+    std::uint64_t trace_start_ = 0;
     std::vector<std::vector<runtime::Op>> building_;
     std::chrono::steady_clock::time_point job_started_{};
 

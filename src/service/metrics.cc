@@ -4,22 +4,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "service/protocol.hh"
+
 namespace hdrd::service
 {
-
-namespace
-{
-
-/** Fixed-precision double so snapshots are bit-stable per state. */
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
-    return buf;
-}
-
-} // namespace
 
 Counter &
 Metrics::counter(const std::string &name)
@@ -80,12 +68,12 @@ Metrics::writeJson(std::ostream &os) const
         const Log2Histogram h = histogram->snapshot();
         os << sep << "\n    \"" << name << "\": {"
            << "\"count\": " << h.count()
-           << ", \"mean\": " << fmtDouble(h.mean())
+           << ", \"mean\": " << jsonFixed(h.mean())
            << ", \"min\": " << h.min()
            << ", \"max\": " << h.max()
-           << ", \"p50\": " << fmtDouble(h.percentile(50.0))
-           << ", \"p90\": " << fmtDouble(h.percentile(90.0))
-           << ", \"p99\": " << fmtDouble(h.percentile(99.0))
+           << ", \"p50\": " << jsonFixed(h.percentile(50.0))
+           << ", \"p90\": " << jsonFixed(h.percentile(90.0))
+           << ", \"p99\": " << jsonFixed(h.percentile(99.0))
            << "}";
         sep = ",";
     }

@@ -19,6 +19,7 @@
 #define HDRD_SERVICE_METRICS_HH
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -88,6 +89,15 @@ class LatencyHistogram
     {
         std::lock_guard<std::mutex> lock(mutex_);
         histogram_.add(value);
+    }
+
+    /** Record the microseconds from @p start to now. */
+    void recordSince(std::chrono::steady_clock::time_point start)
+    {
+        record(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count()));
     }
 
     /** Copy-out snapshot for consistent reads. */

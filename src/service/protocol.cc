@@ -1,6 +1,8 @@
 #include "service/protocol.hh"
 
 #include <cerrno>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include <sys/socket.h>
@@ -323,6 +325,49 @@ jsonError(const std::string &message)
     }
     out += "\"}\n";
     return out;
+}
+
+namespace
+{
+
+/** Start of the value of `"key": ` in @p json (null when absent). */
+const char *
+jsonValue(const std::string &json, const std::string &key)
+{
+    const std::string needle = "\"" + key + "\": ";
+    const std::size_t at = json.find(needle);
+    return at == std::string::npos ? nullptr
+                                   : json.c_str() + at + needle.size();
+}
+
+} // namespace
+
+bool
+jsonNumber(const std::string &json, const std::string &key,
+           std::int64_t &out)
+{
+    const char *value = jsonValue(json, key);
+    if (value != nullptr)
+        out = std::strtoll(value, nullptr, 10);
+    return value != nullptr;
+}
+
+bool
+jsonNumber(const std::string &json, const std::string &key,
+           double &out)
+{
+    const char *value = jsonValue(json, key);
+    if (value != nullptr)
+        out = std::strtod(value, nullptr);
+    return value != nullptr;
+}
+
+std::string
+jsonFixed(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.3f", v);
+    return buf;
 }
 
 } // namespace hdrd::service

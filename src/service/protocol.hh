@@ -304,6 +304,18 @@ std::string jobPayload(std::uint64_t job_id,
  */
 std::string jsonError(const std::string &message);
 
+/**
+ * The number after the first `"key": ` in one of the daemon's flat
+ * JSON documents (metrics, reports, BUSY replies); false if absent.
+ */
+bool jsonNumber(const std::string &json, const std::string &key,
+                std::int64_t &out);
+bool jsonNumber(const std::string &json, const std::string &key,
+                double &out);
+
+/** @p v with three decimals, the fixed format of JSON doubles. */
+std::string jsonFixed(double v);
+
 } // namespace hdrd::service
 
 #endif // HDRD_SERVICE_PROTOCOL_HH

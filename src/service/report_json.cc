@@ -14,14 +14,6 @@ namespace
 {
 
 std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
-    return buf;
-}
-
-std::string
 hexAddr(std::uint64_t addr)
 {
     char buf[32];
@@ -43,12 +35,13 @@ detectorName(std::uint32_t detector)
     return "unknown";
 }
 
-void
-writeJobReport(std::ostream &os, const JobReport &report)
+std::string
+jobReportJson(const JobReport &report)
 {
     hdrdAssert(report.result != nullptr,
                "job report needs a run result");
     const runtime::RunResult &r = *report.result;
+    std::ostringstream os;
 
     if (report.partial_seq == 0) {
         os << "{\n  \"schema\": \"hdrd-report-v1\",\n";
@@ -97,7 +90,7 @@ writeJobReport(std::ostream &os, const JobReport &report)
            << "    \"coalesced\": " << r.faults.coalesced << ",\n"
            << "    \"throttled\": " << r.faults.throttled << ",\n"
            << "    \"delivered\": " << r.faults.delivered << ",\n"
-           << "    \"skid_rms\": " << fmtDouble(r.faults.skidRms())
+           << "    \"skid_rms\": " << jsonFixed(r.faults.skidRms())
            << "\n  },\n";
     }
 
@@ -120,16 +113,9 @@ writeJobReport(std::ostream &os, const JobReport &report)
 
     if (report.include_host_timing) {
         os << ",\n  \"host\": {\"wall_ms\": "
-           << fmtDouble(report.host_ms) << "}";
+           << jsonFixed(report.host_ms) << "}";
     }
     os << "\n}\n";
-}
-
-std::string
-jobReportJson(const JobReport &report)
-{
-    std::ostringstream os;
-    writeJobReport(os, report);
     return os.str();
 }
 

@@ -15,7 +15,6 @@
 #define HDRD_SERVICE_REPORT_JSON_HH
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 
 #include "runtime/simulator.hh"
@@ -56,10 +55,10 @@ struct JobReport
     std::uint64_t partial_seq = 0;
 };
 
-/** Serialize @p report (2-space indented, stable key order). */
-void writeJobReport(std::ostream &os, const JobReport &report);
-
-/** writeJobReport() to a string (the REPORT frame payload). */
+/**
+ * Serialize @p report (2-space indented, stable key order): the
+ * REPORT frame payload.
+ */
 std::string jobReportJson(const JobReport &report);
 
 /** Printable name for a JobOptions::detector value. */

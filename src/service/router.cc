@@ -132,12 +132,7 @@ bool
 Router::metricValue(const std::string &json, const std::string &name,
                     std::int64_t &out)
 {
-    const std::string key = "\"" + name + "\": ";
-    const std::size_t at = json.find(key);
-    if (at == std::string::npos)
-        return false;
-    out = std::strtoll(json.c_str() + at + key.size(), nullptr, 10);
-    return true;
+    return jsonNumber(json, name, out);
 }
 
 std::int64_t

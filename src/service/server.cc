@@ -15,9 +15,8 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "pmu/faults.hh"
+#include "service/job.hh"
 #include "service/protocol.hh"
-#include "service/report_json.hh"
 #include "stream/stream_session.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_program.hh"
@@ -29,14 +28,6 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
-
-std::uint64_t
-usSince(Clock::time_point t0, Clock::time_point t1)
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-            .count());
-}
 
 bool
 setNonBlocking(int fd)
@@ -486,14 +477,11 @@ Server::acceptLoop()
                     >= config_.max_connections) {
                     metrics_.counter("server.connections_rejected")
                         .add();
-                    std::string busy =
-                        "{\"status\": \"busy\", "
-                        "\"retry_after_ms\": "
-                        + std::to_string(retryAfterMs())
-                        + ", \"reason\": \"connection limit\"}\n";
                     // Still blocking here, so this write completes
                     // unless the peer is already gone.
-                    writeFrame(client, FrameType::kBusy, busy);
+                    writeFrame(client, FrameType::kBusy,
+                               busyJson(", \"reason\": \"connection "
+                                        "limit\""));
                     ::close(client);
                     continue;
                 }
@@ -544,7 +532,6 @@ Server::streamOpen(Connection &conn, std::uint64_t job_id,
     reapStreamZombies();
 
     StreamOpenOutcome outcome;
-    const std::string key = name;
     {
         std::lock_guard<std::mutex> lock(streams_mutex_);
         if (stopping_.load(std::memory_order_acquire)) {
@@ -554,23 +541,18 @@ Server::streamOpen(Connection &conn, std::uint64_t job_id,
         if (streams_.size() >= config_.max_streams) {
             metrics_.counter("stream.sessions_rejected").add();
             outcome.busy = true;
-            outcome.refusal_json =
-                "{\"status\": \"busy\", \"retry_after_ms\": "
-                + std::to_string(retryAfterMs())
-                + ", \"reason\": \"stream limit\", "
-                  "\"max_streams\": "
-                + std::to_string(config_.max_streams) + "}\n";
+            outcome.refusal_json = busyJson(
+                ", \"reason\": \"stream limit\", \"max_streams\": "
+                + std::to_string(config_.max_streams));
             return outcome;
         }
-        if (streams_.count(key) != 0) {
+        if (streams_.count(name) != 0) {
             outcome.refusal_json = jsonError(
-                "streaming session name already in use: " + key);
+                "streaming session name already in use: " + name);
             return outcome;
         }
 
         stream::StreamConfig stream_config;
-        stream_config.job_id = job_id;
-        stream_config.name = key;
         stream_config.options = options;
         stream_config.base = config_.base;
         stream_config.buffer_cap = config_.stream_buffer;
@@ -582,25 +564,23 @@ Server::streamOpen(Connection &conn, std::uint64_t job_id,
         stream::StreamCallbacks callbacks;
         callbacks.on_credit = [this, conn_id,
                                job_id](std::uint64_t granted) {
-            Completion completion;
-            completion.conn_id = conn_id;
-            completion.counted = false;
-            completion.keyed = true;
-            completion.job_id = job_id;
-            completion.base = FrameType::kCredit;
-            completion.body = creditBody(granted);
-            postCompletion(std::move(completion));
+            postCompletion({.conn_id = conn_id,
+                            .counted = false,
+                            .keyed = true,
+                            .job_id = job_id,
+                            .base = FrameType::kCredit,
+                            .body = creditBody(granted)});
         };
-        callbacks.on_partial = [this, key](std::uint64_t,
-                                           const std::string &json) {
-            streamFanout(key, FrameType::kJobPartial, json);
+        callbacks.on_partial = [this, name](std::uint64_t,
+                                            const std::string &json) {
+            streamFanout(name, FrameType::kJobPartial, json);
         };
-        callbacks.on_done = [this, key](bool ok,
-                                        const std::string &json) {
-            streamFanout(key,
+        callbacks.on_done = [this, name](bool ok,
+                                         const std::string &json) {
+            streamFanout(name,
                          ok ? FrameType::kReport : FrameType::kError,
                          json);
-            streamFinished(key);
+            streamFinished(name);
         };
 
         StreamEntry entry;
@@ -609,7 +589,7 @@ Server::streamOpen(Connection &conn, std::uint64_t job_id,
         entry.owner_conn = conn_id;
         entry.owner_job = job_id;
         outcome.session = entry.session;
-        streams_.emplace(key, std::move(entry));
+        streams_.emplace(name, std::move(entry));
     }
     // start() outside the registry lock: it issues the initial
     // credit and spawns the engine thread.
@@ -643,14 +623,12 @@ Server::streamFanout(const std::string &name, FrameType base,
         return;
     const StreamEntry &entry = it->second;
 
-    Completion completion;
-    completion.counted = false;
-    completion.keyed = true;
-    completion.base = base;
-    completion.body = json;
-
-    completion.conn_id = entry.owner_conn;
-    completion.job_id = entry.owner_job;
+    Completion completion{.conn_id = entry.owner_conn,
+                          .counted = false,
+                          .keyed = true,
+                          .job_id = entry.owner_job,
+                          .base = base,
+                          .body = json};
     postCompletion(completion);
 
     for (const auto &[conn_id, follow_id] : entry.followers) {
@@ -695,11 +673,10 @@ Server::postCompletion(Completion completion)
     shards_[shard]->post(std::move(completion));
 }
 
-DispatchOutcome
+std::optional<std::string>
 Server::dispatchJob(Connection &conn, bool keyed,
-                    std::uint64_t job_id, const JobOptions &options,
-                    std::shared_ptr<trace::TraceData> data,
-                    const pmu::FaultConfig &faults)
+                    std::uint64_t job_id, const Job &job,
+                    std::shared_ptr<trace::TraceData> data)
 {
     const std::uint64_t conn_id = conn.id();
     auto token = conn.token();
@@ -709,52 +686,29 @@ Server::dispatchJob(Connection &conn, bool keyed,
         + std::chrono::milliseconds(config_.job_timeout_ms);
     const std::uint64_t min_job_ms = config_.min_job_ms;
 
-    runtime::SimConfig sim_config = config_.base;
-    sim_config.mode = static_cast<instr::ToolMode>(options.mode);
-    sim_config.detector =
-        static_cast<runtime::DetectorKind>(options.detector);
-    sim_config.gating.hitm_counter.sample_after = options.sav;
-    sim_config.granule_shift = options.granule_shift;
-    sim_config.mem.ncores = options.cores;
-    sim_config.seed = options.seed;
-    sim_config.faults = faults;
-
-    auto job = [this, token, conn_id, keyed, job_id, data, options,
-                sim_config, min_job_ms, enqueued, deadline,
+    auto run = [this, token, conn_id, keyed, job_id, data, job,
+                min_job_ms, enqueued, deadline,
                 has_deadline](std::uint32_t worker) {
         if (!token->load(std::memory_order_acquire)) {
             metrics_.counter("server.jobs_abandoned").add();
             return;
         }
         const auto t_start = Clock::now();
-        metrics_.histogram("job.queue_wait_us")
-            .record(usSince(enqueued, t_start));
-        std::string payload;
-        bool ok = false;
+        metrics_.histogram("job.queue_wait_us").recordSince(enqueued);
+        JobAnswer answer;
         if (has_deadline && t_start > deadline) {
             metrics_.counter("server.jobs_timeout").add();
-            payload = jsonError("job timed out waiting in queue");
+            answer.json = jsonError("job timed out waiting in queue");
         } else {
-            runtime::Simulator &engine = *engines_[worker];
-            engine.reconfigure(sim_config);
-            trace::TraceProgram program(*data);
-            const runtime::RunResult result = engine.run(program);
-            const auto t_done = Clock::now();
-
-            JobReport report;
-            report.trace = data->name();
-            report.nthreads = data->nthreads();
-            report.options = options;
-            report.fault_spec = pmu::faultSpec(sim_config.faults);
-            report.result = &result;
-            report.include_host_timing =
-                !(options.flags & kJobOmitHostTiming);
-            report.host_ms =
-                static_cast<double>(usSince(t_start, t_done))
-                / 1000.0;
-            payload = jobReportJson(report);
-            ok = true;
-            metrics_.counter("server.jobs_completed").add();
+            // The job runs once: its program takes the decoded ops
+            // over instead of copying them.
+            trace::TraceProgram program(std::move(*data));
+            answer = runJob(*engines_[worker], config_.base, job,
+                            program);
+            metrics_
+                .counter(answer.ok ? "server.jobs_completed"
+                                   : "server.jobs_failed")
+                .add();
         }
         if (min_job_ms > 0) {
             const auto floor_until = t_start
@@ -763,40 +717,31 @@ Server::dispatchJob(Connection &conn, bool keyed,
         }
         // Recorded after the --min-job-ms floor: exec_us feeds the
         // BUSY retry hint, which must reflect observed service time.
-        if (ok)
+        if (answer.ok)
             metrics_.histogram("job.exec_us")
-                .record(usSince(t_start, Clock::now()));
+                .recordSince(t_start);
         metrics_.histogram("job.total_us")
-            .record(usSince(enqueued, Clock::now()));
+            .recordSince(enqueued);
 
-        Completion completion;
-        completion.conn_id = conn_id;
-        completion.keyed = keyed;
-        completion.job_id = job_id;
-        completion.base =
-            ok ? FrameType::kReport : FrameType::kError;
-        completion.body = std::move(payload);
-        postCompletion(std::move(completion));
+        postCompletion({.conn_id = conn_id,
+                        .keyed = keyed,
+                        .job_id = job_id,
+                        .base = answer.ok ? FrameType::kReport
+                                          : FrameType::kError,
+                        .body = std::move(answer.json)});
     };
 
-    if (!pool_->trySubmit(std::move(job))) {
+    if (!pool_->trySubmit(std::move(run))) {
         metrics_.counter("server.jobs_rejected_busy").add();
-        DispatchOutcome outcome;
-        outcome.busy_json =
-            "{\"status\": \"busy\", \"retry_after_ms\": "
-            + std::to_string(retryAfterMs())
-            + ", \"queue_depth\": "
-            + std::to_string(pool_->queueDepth())
-            + ", \"queue_capacity\": "
-            + std::to_string(pool_->queueCapacity()) + "}\n";
-        return outcome;
+        return busyJson(", \"queue_depth\": "
+                        + std::to_string(pool_->queueDepth())
+                        + ", \"queue_capacity\": "
+                        + std::to_string(pool_->queueCapacity()));
     }
     metrics_.counter("server.jobs_accepted").add();
     if (keyed)
         metrics_.counter("server.jobs_pipelined").add();
-    DispatchOutcome outcome;
-    outcome.accepted = true;
-    return outcome;
+    return std::nullopt;
 }
 
 std::string
@@ -849,6 +794,13 @@ Server::retryAfterHintMs(double mean_exec_ms,
         mean_ms * static_cast<double>(queue_depth + 1);
     return static_cast<std::uint64_t>(
         std::clamp(hint, 10.0, 5000.0));
+}
+
+std::string
+Server::busyJson(const std::string &fields)
+{
+    return "{\"status\": \"busy\", \"retry_after_ms\": "
+        + std::to_string(retryAfterMs()) + fields + "}\n";
 }
 
 std::uint64_t

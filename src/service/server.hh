@@ -37,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -128,13 +129,13 @@ struct ServerConfig
     runtime::SimConfig base;
 };
 
-class Server : public ConnectionHost
+class Server
 {
   public:
     explicit Server(ServerConfig config);
 
     /** Stops and joins everything (stop()). */
-    ~Server() override;
+    ~Server();
 
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
@@ -188,29 +189,52 @@ class Server : public ConnectionHost
     static std::uint64_t retryAfterHintMs(double mean_exec_ms,
                                           std::size_t queue_depth);
 
-    // --- ConnectionHost (shard threads call these) ---
-    DispatchOutcome dispatchJob(
+    // --- Connection callbacks (shard threads call these) ---
+
+    /**
+     * Hand a fully received, validated job to the worker pool.
+     * @param keyed true for SUBMIT_JOB (job-id-correlated response)
+     * @return the BUSY payload when refused (queue full); nullopt
+     *         once admitted (the response follows asynchronously)
+     */
+    std::optional<std::string> dispatchJob(
         Connection &conn, bool keyed, std::uint64_t job_id,
-        const JobOptions &options,
-        std::shared_ptr<trace::TraceData> data,
-        const pmu::FaultConfig &faults) override;
-    StreamOpenOutcome streamOpen(
-        Connection &conn, std::uint64_t job_id,
-        const std::string &name, const JobOptions &options) override;
-    std::string streamAttach(Connection &conn,
-                             std::uint64_t follow_id,
-                             const std::string &name) override;
-    std::string statsJson() override;
-    std::string helloJson() override;
-    Metrics &hostMetrics() override { return metrics_; }
-    std::uint64_t maxTraceBytes() const override
+        const Job &job, std::shared_ptr<trace::TraceData> data);
+
+    /**
+     * Open a streaming submission (HDS1.2 SUBMIT_STREAM). On
+     * success the returned session is already started (its initial
+     * CREDIT is on its way as a completion) and the connection feeds
+     * it SUBMIT_DATA bytes directly.
+     */
+    StreamOpenOutcome streamOpen(Connection &conn,
+                                 std::uint64_t job_id,
+                                 const std::string &name,
+                                 const JobOptions &options);
+
+    /**
+     * Follow a live streaming session by name (HDS1.2 ATTACH).
+     * @return the ATTACH_REPLY status JSON; on success the server
+     *         mirrors the session's subsequent partials and final to
+     *         this connection keyed by @p follow_id.
+     */
+    std::string streamAttach(Connection &conn, std::uint64_t follow_id,
+                             const std::string &name);
+
+    /** The STATS reply payload. */
+    std::string statsJson();
+
+    /** The HELLO reply payload (protocol level, limits). */
+    std::string helloJson();
+
+    /** Largest accepted trace payload. */
+    std::uint64_t maxTraceBytes() const
     {
         return config_.max_trace_bytes;
     }
-    std::uint32_t maxPipeline() const override
-    {
-        return config_.max_pipeline;
-    }
+
+    /** Per-connection in-flight pipelined job cap. */
+    std::uint32_t maxPipeline() const { return config_.max_pipeline; }
 
   private:
     class IoShard;
@@ -270,6 +294,9 @@ class Server : public ConnectionHost
 
     /** Suggested client retry delay from current load. */
     std::uint64_t retryAfterMs();
+
+    /** A BUSY payload: the retry hint plus JSON @p fields. */
+    std::string busyJson(const std::string &fields);
 
     ServerConfig config_;
     Metrics metrics_;

@@ -1,15 +1,12 @@
 #include "stream/stream_session.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <cstring>
 #include <memory>
 #include <utility>
 
 #include "common/logging.hh"
 #include "runtime/program.hh"
 #include "service/metrics.hh"
-#include "service/report_json.hh"
 #include "trace/trace_format.hh"
 
 namespace hdrd::stream
@@ -18,36 +15,10 @@ namespace hdrd::stream
 namespace
 {
 
-using Clock = std::chrono::steady_clock;
-
-/** Record-decode batch size for the ingest drain. */
-constexpr std::size_t kBatch = 256;
-
 /** Flush the buffered-bytes gauge after this much consumption. */
 constexpr std::int64_t kGaugeFlush = 64 * 1024;
 
 } // namespace
-
-std::size_t
-StreamSession::BufSource::read(char *dst, std::size_t n)
-{
-    StreamSession &s = session_;
-    n = std::min(n, s.buf_.size() - s.buf_pos_);
-    if (n == 0)
-        return 0;
-    std::memcpy(dst, s.buf_.data() + s.buf_pos_, n);
-    s.buf_pos_ += n;
-    if (s.buf_pos_ == s.buf_.size()) {
-        s.buf_.clear();
-        s.buf_pos_ = 0;
-    } else if (s.buf_pos_ >= 256 * 1024
-               && s.buf_pos_ >= s.buf_.size() / 2) {
-        s.buf_.erase(0, s.buf_pos_);
-        s.buf_pos_ = 0;
-    }
-    consumed_ += n;
-    return n;
-}
 
 /**
  * The session's face to the simulator: per-thread bodies that block
@@ -85,12 +56,12 @@ class StreamSession::EngineProgram : public runtime::Program
 
     const std::string &name() const override
     {
-        return session_.trace_name_;
+        return session_.job_.trace;
     }
 
     std::uint32_t numThreads() const override
     {
-        return session_.nthreads_;
+        return session_.job_.nthreads;
     }
 
     std::unique_ptr<runtime::ThreadBody>
@@ -141,9 +112,10 @@ StreamSession::feed(const char *data, std::size_t len,
     std::uint64_t grant = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (failed_) {
-            // The session is unwinding; frames already in flight
-            // from the client are tolerated and discarded.
+        if (failed_ || finished()) {
+            // The session is unwinding or already answered (a failed
+            // run ends it early); frames already in flight from the
+            // client are tolerated and discarded.
             return true;
         }
         if (ended_) {
@@ -178,7 +150,7 @@ StreamSession::end()
     if (failed_ || ended_)
         return;
     ended_ = true;
-    reader_.endOfStream();
+    ingest_.endOfStream();
     drainLocked();
     cv_.notify_all();
 }
@@ -214,54 +186,36 @@ StreamSession::drainLocked()
     if (failed_)
         return;
 
-    if (!header_ready_) {
-        if (!reader_.readHeader()) {
-            if (!reader_.error().empty())
-                failLocked("trace rejected: " + reader_.error());
+    if (!ingest_.headerReady()) {
+        if (!ingest_.readHeader()) {
+            if (ingest_.failed())
+                failLocked(ingest_.error());
             return;  // starved: resume on the next feed (or end)
         }
         // Header landed: everything the engine needs to configure
-        // itself is now known. Resolve the fault spec exactly like
-        // the buffered path — explicit override wins, else the
-        // trace's recorded spec unless the client opted out.
-        noteConsumedLocked(source_.consumed());
-        trace_name_ = reader_.name();
-        nthreads_ = reader_.nthreads();
-        std::string spec(config_.options.fault_spec.data());
-        if (spec.empty()
-            && !(config_.options.flags
-                 & service::kJobIgnoreTraceFaults))
-            spec = reader_.faultSpec();
-        std::string err;
-        if (!spec.empty() && spec != "none"
-            && !pmu::resolveFaultSpec(spec, fault_config_, err)) {
-            failLocked("trace carries unusable fault spec: " + err);
-            return;
-        }
-        queues_.resize(nthreads_);
-        header_ready_ = true;
+        // itself is now known.
+        noteConsumedLocked(buf_.consumed());
+        job_ = ingest_.job();
+        queues_.resize(job_.nthreads);
         cv_.notify_all();
     }
 
-    trace::TraceRecord batch[kBatch];
-    while (!reader_.done()) {
-        const std::size_t got = reader_.next(batch, kBatch);
-        for (std::size_t i = 0; i < got; ++i)
-            queues_[batch[i].tid].push_back(batch[i].toOp());
-        if (!reader_.error().empty()) {
-            failLocked("trace rejected: " + reader_.error());
-            return;
-        }
-        if (got == 0)
-            break;  // starved mid-record
+    const bool ok = ingest_.decode(
+        [this](const trace::TraceRecord *records, std::size_t n) {
+            for (std::size_t i = 0; i < n; ++i)
+                queues_[records[i].tid].push_back(records[i].toOp());
+        });
+    if (!ok) {
+        failLocked(ingest_.error());
+        return;
     }
 
-    if (reader_.done() && ended_ && !input_done_) {
-        const std::size_t leftover = buf_.size() - buf_pos_;
+    if (ingest_.done() && ended_ && !input_done_) {
+        const std::size_t leftover = buf_.size();
         if (leftover > 0) {
             failLocked(std::to_string(leftover)
                        + " bytes of trailing garbage after "
-                       + std::to_string(reader_.recordCount())
+                       + std::to_string(ingest_.recordCount())
                        + " records");
             return;
         }
@@ -364,8 +318,9 @@ StreamSession::engineMain()
 {
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock,
-                 [this] { return header_ready_ || failed_; });
+        cv_.wait(lock, [this] {
+            return ingest_.headerReady() || failed_;
+        });
         if (failed_) {
             const std::string message = error_;
             lock.unlock();
@@ -374,72 +329,37 @@ StreamSession::engineMain()
         }
     }
 
-    // Identical option mapping to Server::dispatchJob, so a streamed
-    // job's report is byte-for-byte the buffered job's.
-    const service::JobOptions &o = config_.options;
-    runtime::SimConfig sim_config = config_.base;
-    sim_config.mode = static_cast<instr::ToolMode>(o.mode);
-    sim_config.detector =
-        static_cast<runtime::DetectorKind>(o.detector);
-    sim_config.gating.hitm_counter.sample_after = o.sav;
-    sim_config.granule_shift = o.granule_shift;
-    sim_config.mem.ncores = o.cores;
-    sim_config.seed = o.seed;
-    sim_config.faults = fault_config_;
-
-    service::JobReport base_report;
-    base_report.trace = trace_name_;
-    base_report.nthreads = nthreads_;
-    base_report.options = o;
-    base_report.fault_spec = pmu::faultSpec(sim_config.faults);
-
-    runtime::Simulator sim(sim_config);
+    runtime::Simulator sim(config_.base);
     EngineProgram program(*this);
 
     runtime::RunObserver observer;
     observer.interval_ops = config_.partial_interval;
     observer.cancel = &cancel_;
     observer.on_partial = [&](const runtime::RunResult &snapshot) {
-        service::JobReport partial = base_report;
-        partial.result = &snapshot;
-        partial.partial_seq = ++partial_seq_;
-        partial.include_host_timing = false;
+        ++partial_seq_;
         if (config_.metrics != nullptr)
             config_.metrics->counter("stream.partials_emitted")
                 .add();
         if (callbacks_.on_partial)
-            callbacks_.on_partial(partial_seq_,
-                                  service::jobReportJson(partial));
+            callbacks_.on_partial(
+                partial_seq_, job_.reportJson(snapshot, partial_seq_));
     };
 
-    const auto t_start = Clock::now();
-    const runtime::RunResult result = sim.run(program, &observer);
-    const auto t_done = Clock::now();
+    const service::JobAnswer answer = service::runJob(
+        sim, config_.base, job_, program, &observer);
 
     std::string message;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (failed_)
             message = error_;
-        else if (observer.cancelled
-                 || cancel_.load(std::memory_order_acquire))
-            message = "streaming session aborted";
     }
-    if (!message.empty()) {
+    // A failed session (rejected bytes, abort) cancels the run; its
+    // own error explains the cancellation.
+    if (!message.empty())
         finish(false, service::jsonError(message));
-        return;
-    }
-
-    base_report.result = &result;
-    base_report.include_host_timing =
-        !(o.flags & service::kJobOmitHostTiming);
-    base_report.host_ms =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                t_done - t_start)
-                .count())
-        / 1000.0;
-    finish(true, service::jobReportJson(base_report));
+    else
+        finish(answer.ok, answer.json);
 }
 
 void

@@ -52,9 +52,9 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "pmu/faults.hh"
 #include "runtime/op.hh"
 #include "runtime/simulator.hh"
+#include "service/job.hh"
 #include "service/protocol.hh"
 #include "trace/trace_io.hh"
 
@@ -69,12 +69,6 @@ namespace hdrd::stream
 /** Everything a StreamSession is parameterized by. */
 struct StreamConfig
 {
-    /** Wire job id the uploader keyed the stream with. */
-    std::uint64_t job_id = 0;
-
-    /** Client-chosen session name (the ATTACH key). */
-    std::string name;
-
     /** Analysis options, exactly as for a buffered SUBMIT_JOB. */
     service::JobOptions options;
 
@@ -162,32 +156,10 @@ class StreamSession
     /** Block until the engine thread exits (cheap after finished()). */
     void joinEngine();
 
-    const std::string &name() const { return config_.name; }
-    std::uint64_t jobId() const { return config_.job_id; }
-
     /** Cumulative grant so far (tests; racy snapshot). */
     std::uint64_t grantedBytes();
 
   private:
-    /** trace::ByteSource over buf_; only used under mutex_. */
-    class BufSource : public trace::ByteSource
-    {
-      public:
-        explicit BufSource(StreamSession &session)
-            : session_(session)
-        {
-        }
-
-        std::size_t read(char *dst, std::size_t n) override;
-
-        /** Bytes handed to the reader so far. */
-        std::uint64_t consumed() const { return consumed_; }
-
-      private:
-        StreamSession &session_;
-        std::uint64_t consumed_ = 0;
-    };
-
     class EngineProgram;
     class EngineBody;
 
@@ -221,12 +193,10 @@ class StreamSession
     std::condition_variable cv_;
 
     /** Raw received-but-unparsed bytes (consumed from the front). */
-    std::string buf_;
-    std::size_t buf_pos_ = 0;
+    trace::ByteQueue buf_;
 
-    BufSource source_{*this};
-    trace::TraceReader reader_{source_,
-                               trace::TraceReader::kUnknownSize};
+    service::JobIngest ingest_{buf_, trace::TraceReader::kUnknownSize,
+                               config_.options};
 
     /** Parsed-but-unexecuted operations, per thread. */
     std::vector<std::deque<runtime::Op>> queues_;
@@ -241,7 +211,6 @@ class StreamSession
     std::int64_t gauge_pending_ = 0;
 
     // --- parse / lifecycle state (mutex_) ---
-    bool header_ready_ = false;
     bool ended_ = false;
 
     /** No more operations will ever be queued (end or failure). */
@@ -250,9 +219,8 @@ class StreamSession
     bool failed_ = false;
     std::string error_;
 
-    std::string trace_name_;
-    std::uint32_t nthreads_ = 0;
-    pmu::FaultConfig fault_config_;
+    /** The job, copied off ingest_ for the engine thread. */
+    service::Job job_;
 
     std::atomic<bool> cancel_{false};
     std::atomic<bool> finished_{false};

@@ -77,6 +77,29 @@ TraceData::threadOps(ThreadId tid) const
     return per_thread_[tid];
 }
 
+void
+ByteQueue::consume(std::size_t n)
+{
+    pos_ += n;
+    consumed_ += n;
+    if (pos_ == buf_.size()) {
+        buf_.clear();
+        pos_ = 0;
+    } else if (pos_ >= 256 * 1024 && pos_ >= buf_.size() / 2) {
+        buf_.erase(0, pos_);
+        pos_ = 0;
+    }
+}
+
+std::size_t
+ByteQueue::read(char *dst, std::size_t n)
+{
+    n = std::min(n, size());
+    std::memcpy(dst, data(), n);
+    consume(n);
+    return n;
+}
+
 TraceReader::TraceReader(ByteSource &source,
                          std::uint64_t total_bytes)
     : source_(source), total_bytes_(total_bytes),

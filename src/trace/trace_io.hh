@@ -108,6 +108,46 @@ class IstreamSource : public ByteSource
 };
 
 /**
+ * ByteSource over bytes appended as they arrive (socket reads, upload
+ * chunks) and consumed from the front; the consumed prefix is
+ * compacted away once it dominates the buffer.
+ */
+class ByteQueue : public ByteSource
+{
+  public:
+    void append(const char *data, std::size_t n) { buf_.append(data, n); }
+
+    /** Room for @p n bytes at the back; commit() keeps some. */
+    char *reserve(std::size_t n)
+    {
+        tail_ = buf_.size();
+        buf_.resize(tail_ + n);
+        return buf_.data() + tail_;
+    }
+
+    /** Keep the first @p n bytes of the last reserve(). */
+    void commit(std::size_t n) { buf_.resize(tail_ + n); }
+
+    /** Unconsumed bytes. */
+    std::size_t size() const { return buf_.size() - pos_; }
+    const char *data() const { return buf_.data() + pos_; }
+
+    /** Drop @p n bytes from the front. */
+    void consume(std::size_t n);
+
+    /** Bytes consumed since construction. */
+    std::uint64_t consumed() const { return consumed_; }
+
+    std::size_t read(char *dst, std::size_t n) override;
+
+  private:
+    std::string buf_;
+    std::size_t pos_ = 0;
+    std::size_t tail_ = 0;
+    std::uint64_t consumed_ = 0;
+};
+
+/**
  * Incremental, validating trace parser.
  *
  * Usage: construct over a ByteSource whose total trace size is known

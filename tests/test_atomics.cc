@@ -176,7 +176,7 @@ TEST(AtomicOps, WaitAlreadySatisfiedPassesImmediately)
     EXPECT_GT(result.total_ops, 0u);  // completed: no deadlock
 }
 
-TEST(AtomicOpsDeath, WaitWithoutRmwDeadlocks)
+TEST(AtomicOps, WaitWithoutRmwDeadlocks)
 {
     Builder b("wait_forever", 2);
     const Region flag = b.alloc(8);
@@ -185,7 +185,11 @@ TEST(AtomicOpsDeath, WaitWithoutRmwDeadlocks)
     auto prog = b.build();
     SimConfig config;
     config.mode = ToolMode::kNative;
-    EXPECT_DEATH(Simulator::runWith(*prog, config), "deadlock");
+    const RunResult result = Simulator::runWith(*prog, config);
+    EXPECT_EQ(result.status, RunStatus::kDeadlock);
+    EXPECT_NE(result.error.find("t1 blocked on atomic cell"),
+              std::string::npos)
+        << result.error;
 }
 
 TEST(AtomicOps, AtomicsCountedSeparatelyFromDataAccesses)

@@ -222,8 +222,8 @@ TEST(HierarchyEdge, UpgradeStatCounted)
     h.access(0, 0x1000, false);
     h.access(1, 0x1000, false);  // both Shared
     h.access(0, 0x1000, true);   // S->M upgrade
-    EXPECT_EQ(h.stats().counter("upgrades"), 1u);
-    EXPECT_EQ(h.stats().counter("invalidations"), 1u);
+    EXPECT_EQ(h.stats().upgrades, 1u);
+    EXPECT_EQ(h.stats().invalidations, 1u);
 }
 
 // ---------------------------------------------------------------

@@ -179,7 +179,7 @@ TEST(Hierarchy, L3EvictionBackInvalidatesPrivateCopies)
     Hierarchy h(tinyConfig());
     for (int i = 0; i < 9; ++i)
         h.access(0, static_cast<Addr>(i) * 2048, false);
-    EXPECT_GE(h.stats().counter("l3_evictions"), 1u);
+    EXPECT_GE(h.stats().l3_evictions, 1u);
     // Whichever line was evicted must have left core 0's privates.
     std::uint64_t resident = 0;
     for (int i = 0; i < 9; ++i) {
@@ -200,10 +200,10 @@ TEST(Hierarchy, StatsCountHitmAndAccesses)
     h.access(1, 0x1000, false);  // HITM load
     h.access(0, 0x2000, true);
     h.access(1, 0x2000, true);   // HITM store
-    EXPECT_EQ(h.stats().counter("accesses"), 4u);
-    EXPECT_EQ(h.stats().counter("writes"), 3u);
-    EXPECT_EQ(h.stats().counter("hitm_transfers"), 2u);
-    EXPECT_EQ(h.stats().counter("hitm_loads"), 1u);
+    EXPECT_EQ(h.stats().accesses, 4u);
+    EXPECT_EQ(h.stats().writes, 3u);
+    EXPECT_EQ(h.stats().hitm_transfers, 2u);
+    EXPECT_EQ(h.stats().hitm_loads, 1u);
 }
 
 TEST(Hierarchy, PingPongProducesRepeatedHitm)
@@ -214,7 +214,7 @@ TEST(Hierarchy, PingPongProducesRepeatedHitm)
         h.access(1, 0x1000, true);
     }
     // Each write after the first hits the other core's M copy.
-    EXPECT_EQ(h.stats().counter("hitm_transfers"), 19u);
+    EXPECT_EQ(h.stats().hitm_transfers, 19u);
 }
 
 TEST(Hierarchy, FalseSharingHitmsAtLineGranularity)

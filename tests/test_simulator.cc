@@ -11,6 +11,8 @@
 
 #include "instr/cost_model.hh"
 #include "runtime/simulator.hh"
+#include "trace/trace_io.hh"
+#include "trace/trace_program.hh"
 #include "workloads/synthetic.hh"
 
 using namespace hdrd;
@@ -168,7 +170,7 @@ TEST(Simulator, BarrierPhasesOrderAllThreads)
     EXPECT_EQ(result.reports.uniqueCount(), 0u);
 }
 
-TEST(SimulatorDeath, DeadlockPanics)
+TEST(Simulator, DeadlockEndsTheRunWithAStatus)
 {
     Builder b("deadlock", 2);
     b.lockOp(0, 1);
@@ -182,7 +184,81 @@ TEST(SimulatorDeath, DeadlockPanics)
     auto prog = b.build();
     SimConfig config;
     config.mode = ToolMode::kNative;
-    EXPECT_DEATH(Simulator::runWith(*prog, config), "deadlock");
+    const RunResult result = Simulator::runWith(*prog, config);
+    EXPECT_FALSE(result.completed());
+    EXPECT_EQ(result.status, RunStatus::kDeadlock);
+    // The message names each blocked thread and what it waits on.
+    EXPECT_NE(result.error.find("deadlock"), std::string::npos);
+    EXPECT_NE(result.error.find("t0 blocked on mutex 2"),
+              std::string::npos)
+        << result.error;
+    EXPECT_NE(result.error.find("t1 blocked on mutex 1"),
+              std::string::npos)
+        << result.error;
+    std::ostringstream dump;
+    result.dump(dump);
+    EXPECT_NE(dump.str().find("run.status deadlock\n"),
+              std::string::npos);
+}
+
+TEST(Simulator, SyncMisuseEndsTheRunWithAStatus)
+{
+    using trace::TraceData;
+    using trace::TraceProgram;
+    struct Case
+    {
+        const char *name;
+        std::vector<std::vector<Op>> ops;
+        const char *message;
+    };
+    const std::vector<Case> cases = {
+        {"unlock_unheld", {{Op::unlock(5)}},
+         "unlock of mutex 5 not held by thread 0"},
+        {"rd_unlock_unheld", {{Op::rdUnlock(3)}},
+         "rd-unlock of rwlock 3 not held by thread 0"},
+        {"wr_unlock_unheld", {{Op::rdLock(3), Op::wrUnlock(3)}},
+         "wr-unlock of rwlock 3 not held by thread 0"},
+        {"self_join", {{Op::threadJoin(0)}},
+         "join of invalid thread 0 by thread 0"},
+        {"join_unknown", {{Op::threadJoin(9)}},
+         "join of invalid thread 9"},
+        {"create_twice", {{Op::threadCreate(1)}, {Op::work(1)}},
+         "thread 1 created twice"},
+        {"barrier_count",
+         {{Op::barrier(1, 2)}, {Op::work(50), Op::barrier(1, 3)}},
+         "inconsistent participant count at barrier 1"},
+    };
+    for (const Case &c : cases) {
+        for (const ToolMode mode :
+             {ToolMode::kNative, ToolMode::kContinuous,
+              ToolMode::kDemand}) {
+            TraceData data = TraceData::fromOps(c.name, c.ops);
+            TraceProgram program(data);
+            SimConfig config;
+            config.mode = mode;
+            const RunResult result = Simulator::runWith(program, config);
+            EXPECT_EQ(result.status, RunStatus::kSyncMisuse) << c.name;
+            EXPECT_NE(result.error.find(c.message), std::string::npos)
+                << c.name << ": " << result.error;
+        }
+    }
+}
+
+TEST(Simulator, CompletedRunDumpCarriesNoStatus)
+{
+    Builder b("clean", 2);
+    b.lockOp(0, 1);
+    b.unlockOp(0, 1);
+    b.lockOp(1, 1);
+    b.unlockOp(1, 1);
+    auto prog = b.build();
+    const RunResult result = Simulator::runWith(*prog, SimConfig{});
+    EXPECT_TRUE(result.completed());
+    EXPECT_TRUE(result.error.empty());
+    std::ostringstream dump;
+    result.dump(dump);
+    EXPECT_EQ(dump.str().find("run.status"), std::string::npos);
+    EXPECT_EQ(dump.str().find("run.error"), std::string::npos);
 }
 
 TEST(Simulator, SmtSiblingsShareCachesNoHitm)

@@ -5,8 +5,10 @@
  * report byte-stability, credit flow control (including the
  * emergency-grant escape from skewed traces), abort/truncation
  * handling, and the HDS1.2 server plane end to end — streamed finals
- * byte-identical to buffered reports, ATTACH fanout, and client-kill
- * session recovery with gauges settling back to zero.
+ * byte-identical to buffered reports, ATTACH fanout, client-kill
+ * session recovery with gauges settling back to zero, and poison
+ * traces (deadlock, sync misuse) answered per job, buffered,
+ * pipelined and streamed, without harming the daemon.
  */
 
 #include <gtest/gtest.h>
@@ -26,13 +28,16 @@
 #include <unistd.h>
 
 #include "runtime/op.hh"
+#include "runtime/simulator.hh"
 #include "service/client.hh"
 #include "service/metrics.hh"
 #include "service/protocol.hh"
+#include "service/report_json.hh"
 #include "service/router.hh"
 #include "service/server.hh"
 #include "stream/stream_session.hh"
 #include "trace/trace_io.hh"
+#include "trace/trace_program.hh"
 
 using namespace hdrd;
 using namespace hdrd::service;
@@ -98,12 +103,9 @@ struct Capture
 };
 
 stream::StreamConfig
-sessionConfig(const char *name, std::uint64_t buffer_cap,
-              std::uint64_t partial_interval)
+sessionConfig(std::uint64_t buffer_cap, std::uint64_t partial_interval)
 {
     stream::StreamConfig config;
-    config.job_id = 1;
-    config.name = name;
     config.options.flags = kJobOmitHostTiming;
     config.buffer_cap = buffer_cap;
     config.credit_quantum = 4096;
@@ -145,7 +147,7 @@ runStreamed(const std::string &image, std::uint64_t buffer_cap,
             Capture &capture, service::Metrics *metrics = nullptr)
 {
     stream::StreamConfig config =
-        sessionConfig("unit", buffer_cap, partial_interval);
+        sessionConfig(buffer_cap, partial_interval);
     config.metrics = metrics;
     stream::StreamSession session(std::move(config),
                                   capture.callbacks());
@@ -251,7 +253,7 @@ TEST(StreamSession, CreditOverrunIsAProtocolViolation)
 
     Capture capture;
     stream::StreamSession session(
-        sessionConfig("overrun", 4096, 0), capture.callbacks());
+        sessionConfig(4096, 0), capture.callbacks());
     session.start();
     // First feed blasts past any grant the session could have issued
     // (initial grant == buffer_cap; nothing consumed yet).
@@ -285,7 +287,7 @@ TEST(StreamSession, DataAfterEndRejected)
     const std::string image = traceImage(racyTrace(50), "afterend");
     Capture capture;
     stream::StreamSession session(
-        sessionConfig("afterend", image.size() + 1024, 0),
+        sessionConfig(image.size() + 1024, 0),
         capture.callbacks());
     session.start();
     std::string err;
@@ -302,7 +304,7 @@ TEST(StreamSession, TruncatedStreamReportsError)
     const std::string image = traceImage(racyTrace(50), "trunc");
     Capture capture;
     stream::StreamSession session(
-        sessionConfig("trunc", image.size() + 1024, 0),
+        sessionConfig(image.size() + 1024, 0),
         capture.callbacks());
     session.start();
     // Header plus one and a half records, then EOF.
@@ -323,7 +325,7 @@ TEST(StreamSession, AbortUnwindsAndReportsOnce)
     const std::string image = traceImage(racyTrace(400), "abort");
     Capture capture;
     stream::StreamSession session(
-        sessionConfig("abort", image.size() + 1024, 0),
+        sessionConfig(image.size() + 1024, 0),
         capture.callbacks());
     session.start();
     std::string err;
@@ -580,4 +582,89 @@ TEST(ServerStream, ClientKillMidStreamLeaksNothing)
     // The daemon still serves buffered jobs afterwards.
     const Response after = client.submit(options, image);
     EXPECT_TRUE(after.isReport()) << after.payload;
+}
+
+TEST(ServerStream, PoisonTracesEndTheJobNotTheDaemon)
+{
+    using runtime::Op;
+    struct Poison
+    {
+        const char *name;
+        std::vector<std::vector<Op>> ops;
+        const char *error;
+    };
+    const std::vector<Poison> poisons = {
+        {"abba",
+         {{Op::lock(1), Op::lock(2), Op::unlock(2), Op::unlock(1)},
+          {Op::lock(2), Op::lock(1), Op::unlock(1), Op::unlock(2)}},
+         "deadlock: no runnable thread; t0 blocked on mutex 2, t1 "
+         "blocked on mutex 1"},
+        {"unlock_unheld", {{Op::unlock(5)}},
+         "unlock of mutex 5 not held by thread 0"},
+        {"self_join", {{Op::threadJoin(0)}},
+         "join of invalid thread 0 by thread 0"},
+        {"barrier_mismatch",
+         {{Op::barrier(1, 2)}, {Op::work(50), Op::barrier(1, 3)}},
+         "inconsistent participant count at barrier 1"},
+    };
+
+    TestServer ts("poison");
+    JobOptions options;
+    options.flags = kJobOmitHostTiming;
+
+    // The golden report of a good trace, computed in-process.
+    const trace::TraceData good = racyTrace(100);
+    const std::string good_image = traceImage(good, "poison_good");
+    trace::TraceProgram good_program(good);
+    runtime::SimConfig config;
+    config.mode = static_cast<instr::ToolMode>(options.mode);
+    const runtime::RunResult good_run =
+        runtime::Simulator::runWith(good_program, config);
+    JobReport golden;
+    golden.trace = good.name();
+    golden.nthreads = good.nthreads();
+    golden.options = options;
+    golden.result = &good_run;
+    const std::string golden_json = jobReportJson(golden);
+
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connectUnix(ts.path, err)) << err;
+    for (const Poison &poison : poisons) {
+        SCOPED_TRACE(poison.name);
+        const std::string image = traceImage(
+            trace::TraceData::fromOps(poison.name, poison.ops),
+            poison.name);
+        const auto expectError = [&](const Response &r) {
+            ASSERT_TRUE(r.transport_ok);
+            EXPECT_TRUE(r.type == FrameType::kError
+                        || r.type == FrameType::kJobError);
+            EXPECT_NE(r.payload.find(poison.error), std::string::npos)
+                << r.payload;
+        };
+
+        expectError(client.submit(options, image));
+
+        const std::vector<PipelineSubmission> batch = {
+            {options, &image}, {options, &good_image}};
+        const std::vector<Response> piped =
+            client.submitPipelined(batch, 2);
+        ASSERT_EQ(piped.size(), 2u);
+        expectError(piped[0]);
+        EXPECT_EQ(piped[1].payload, golden_json);
+
+        Client streamer;
+        ASSERT_TRUE(streamer.connectUnix(ts.path, err)) << err;
+        std::size_t pos = 0;
+        expectError(streamer.submitStream(
+            options, poison.name, chunkedSource(image, 64, &pos)));
+
+        // The daemon keeps serving: a good job gets the golden bytes.
+        const Response after = client.submit(options, good_image);
+        ASSERT_TRUE(after.isReport()) << after.payload;
+        EXPECT_EQ(after.payload, golden_json);
+    }
+    EXPECT_TRUE(awaitGauge(client, "stream.active_sessions", 0));
+    EXPECT_TRUE(awaitGauge(client, "pool.active_workers", 0));
+    EXPECT_TRUE(awaitGauge(client, "stream.buffered_bytes", 0));
 }

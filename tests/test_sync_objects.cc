@@ -164,3 +164,37 @@ TEST(SyncObjects, AnyWaitersReflectsState)
     sync.arriveBarrier(0, 9, 2, 30);
     EXPECT_TRUE(sync.anyWaiters());
 }
+
+TEST(SyncObjects, BlockedOnNamesTheObject)
+{
+    SyncObjects sync;
+    sync.tryLock(0, 1, 10);
+    sync.tryLock(1, 1, 11);
+    sync.tryWrLock(0, 2, 12);
+    sync.tryRdLock(2, 2, 13);
+    sync.arriveBarrier(3, 9, 2, 14);
+    sync.addAtomicWaiter(4, 5, 1);
+    sync.addJoinWaiter(5, 0);
+    EXPECT_EQ(sync.blockedOn(0), "");
+    EXPECT_EQ(sync.blockedOn(1), "mutex 1");
+    EXPECT_EQ(sync.blockedOn(2), "rwlock 2");
+    EXPECT_EQ(sync.blockedOn(3), "barrier 9");
+    EXPECT_EQ(sync.blockedOn(4), "atomic cell 5");
+    EXPECT_EQ(sync.blockedOn(5), "join of thread 0");
+}
+
+TEST(SyncObjects, MisuseIsVisibleBeforeTheOp)
+{
+    SyncObjects sync;
+    EXPECT_EQ(sync.barrierMisuse(0, 9, 3), nullptr);  // fresh barrier
+    sync.arriveBarrier(0, 9, 3, 10);
+    EXPECT_EQ(sync.barrierMisuse(1, 9, 3), nullptr);
+    EXPECT_STREQ(sync.barrierMisuse(1, 9, 4),
+                 "inconsistent participant count");
+    EXPECT_NE(sync.barrierMisuse(0, 9, 3), nullptr);  // second arrival
+
+    sync.tryRdLock(0, 2, 20);
+    EXPECT_TRUE(sync.rdHolds(0, 2));
+    EXPECT_FALSE(sync.rdHolds(1, 2));
+    EXPECT_FALSE(sync.rdHolds(0, 3));
+}

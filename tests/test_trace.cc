@@ -579,6 +579,34 @@ class StallSource : public trace::ByteSource
 
 } // namespace
 
+TEST(ByteQueue, AppendsConsumesAndCompacts)
+{
+    ByteQueue queue;
+    queue.append("abc", 3);
+    char out[8] = {};
+    EXPECT_EQ(queue.read(out, 2), 2u);
+    EXPECT_EQ(std::string(out, 2), "ab");
+    EXPECT_EQ(queue.consumed(), 2u);
+
+    // reserve/commit keeps only what was written.
+    std::memcpy(queue.reserve(4), "defg", 4);
+    queue.commit(2);
+    ASSERT_EQ(queue.size(), 3u);
+    EXPECT_EQ(std::string(queue.data(), 3), "cde");
+    EXPECT_EQ(queue.read(out, sizeof(out)), 3u);
+    EXPECT_EQ(queue.read(out, sizeof(out)), 0u);  // dry, not an error
+
+    // Past the compaction threshold the unread tail survives intact.
+    std::string big(600 * 1024, '\0');
+    for (std::size_t i = 0; i < big.size(); ++i)
+        big[i] = static_cast<char>(i * 7);
+    queue.append(big.data(), big.size());
+    queue.consume(400 * 1024);
+    EXPECT_EQ(std::string(queue.data(), queue.size()),
+              big.substr(400 * 1024));
+    EXPECT_EQ(queue.consumed(), 5u + 400 * 1024);
+}
+
 TEST(TraceReader, ResumesAcrossEveryChunkBoundary)
 {
     // Streaming mode must survive a chunk boundary at EVERY byte

@@ -44,9 +44,6 @@
 #include <vector>
 
 #include <sys/utsname.h>
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
 
 #include "common/alloc_stats.hh"
 #include "common/bench_json.hh"
@@ -284,16 +281,9 @@ runCell(Cell &cell, const Options &opt)
     params.seed = opt.seed + 41;  // matches hdrd_sim's program seed
 
     // Attribute the peak-RSS watermark to this cell alone (single
-    // worker: nothing else is resident-growing concurrently). The
-    // allocator must first hand freed arena pages back to the OS:
-    // without the trim, residual RSS from a bigger earlier cell
-    // floors every later cell's "peak".
-    if (opt.cell_rss) {
-#if defined(__GLIBC__)
-        malloc_trim(0);
-#endif
+    // worker: nothing else is resident-growing concurrently).
+    if (opt.cell_rss)
         resetPeakRss();
-    }
 
     double best_seconds = 0.0;
     std::string dump;

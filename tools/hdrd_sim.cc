@@ -28,7 +28,7 @@
 #include "instr/cost_model.hh"
 #include "pmu/faults.hh"
 #include "runtime/simulator.hh"
-#include "service/report_json.hh"
+#include "service/job.hh"
 #include "trace/trace_program.hh"
 #include "workloads/registry.hh"
 
@@ -361,6 +361,11 @@ main(int argc, char **argv)
     const auto run_t0 = std::chrono::steady_clock::now();
     const auto result = runtime::Simulator::runWith(*to_run, config);
     const auto run_t1 = std::chrono::steady_clock::now();
+    if (!result.completed()) {
+        // A trace that deadlocks or misuses a sync op: say why and
+        // fail the run, don't abort.
+        fatal("run failed: ", result.error);
+    }
 
     if (!opt.bench_json.empty()) {
         // One-cell hdrd-bench-v2 file: same schema as hdrd_bench so
@@ -420,26 +425,24 @@ main(int argc, char **argv)
     if (!opt.report_json.empty()) {
         // The daemon's report writer: lets CI diff hdrd_served
         // replies byte-for-byte against this one-shot path.
-        service::JobReport report;
+        service::Job job;
         // For a replay, report the recorded trace's name (what the
         // daemon reports), not the ".replay"-suffixed program name.
-        report.trace =
-            trace_name.empty() ? program->name() : trace_name;
-        report.nthreads = program->numThreads();
-        report.options.mode = static_cast<std::uint32_t>(opt.mode);
-        report.options.detector =
-            static_cast<std::uint32_t>(opt.detector);
-        report.options.seed = opt.seed;
-        report.options.granule_shift = opt.granule;
-        report.options.cores = opt.cores;
-        report.options.sav = opt.sav;
-        report.fault_spec = pmu::faultSpec(config.faults);
-        report.result = &result;
+        job.trace = trace_name.empty() ? program->name() : trace_name;
+        job.nthreads = program->numThreads();
+        job.options.flags = service::kJobOmitHostTiming;
+        job.options.mode = static_cast<std::uint32_t>(opt.mode);
+        job.options.detector = static_cast<std::uint32_t>(opt.detector);
+        job.options.seed = opt.seed;
+        job.options.granule_shift = opt.granule;
+        job.options.cores = opt.cores;
+        job.options.sav = opt.sav;
+        job.faults = config.faults;
 
         std::ofstream os(opt.report_json, std::ios::trunc);
         if (!os)
             fatal("cannot open report json file ", opt.report_json);
-        service::writeJobReport(os, report);
+        os << job.reportJson(result);
         std::printf("report json  %s\n", opt.report_json.c_str());
     }
 
