@@ -1,132 +1,216 @@
 #include "detect/lockset.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.hh"
+#include "detect/epoch.hh"
 
 namespace hdrd::detect
 {
 
+std::size_t
+LocksetTable::SetHash::operator()(
+    const std::vector<std::uint64_t> &s) const
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::uint64_t lock : s) {
+        h ^= lock;
+        h *= 0x100000001b3ULL;
+    }
+    return static_cast<std::size_t>(h ^ (h >> 29));
+}
+
+void
+LocksetTable::clear()
+{
+    index_.clear();
+    sets_.clear();
+    meets_.clear();
+    sets_.push_back(&index_.emplace().first->first);
+}
+
+std::uint32_t
+LocksetTable::intern(const std::vector<std::uint64_t> &locks)
+{
+    scratch_.assign(locks.begin(), locks.end());
+    std::sort(scratch_.begin(), scratch_.end());
+    const auto it = index_.find(scratch_);
+    if (it != index_.end())
+        return it->second;
+    const auto id = static_cast<std::uint32_t>(sets_.size());
+    sets_.push_back(&index_.emplace(scratch_, id).first->first);
+    return id;
+}
+
+std::uint32_t
+LocksetTable::meet(std::uint32_t a, std::uint32_t b)
+{
+    if (a > b)
+        std::swap(a, b);
+    const std::uint64_t key = (std::uint64_t{a} << 32) | b;
+    if (const auto it = meets_.find(key); it != meets_.end())
+        return it->second;
+    std::vector<std::uint64_t> common;
+    std::set_intersection(sets_[a]->begin(), sets_[a]->end(),
+                          sets_[b]->begin(), sets_[b]->end(),
+                          std::back_inserter(common));
+    const std::uint32_t id = intern(common);
+    if (meets_.size() >= kMaxMeets)
+        meets_.clear();
+    meets_.emplace(key, id);
+    return id;
+}
+
 LocksetDetector::LocksetDetector(ReportSink &sink,
                                  std::uint32_t granule_shift)
-    : sink_(sink), granule_shift_(granule_shift)
+    : sink_(sink), granule_shift_(granule_shift),
+      owned_(std::make_unique<LocksetShadow>()), shadow_(owned_.get())
 {
+}
+
+LocksetDetector::LocksetDetector(ReportSink &sink,
+                                 LocksetShadow &shadow,
+                                 std::uint32_t granule_shift)
+    : sink_(sink), granule_shift_(granule_shift), shadow_(&shadow)
+{
+    shadow_->clear();
+}
+
+LocksetDetector::ThreadLocks &
+LocksetDetector::threadLocks(ThreadId tid)
+{
+    hdrdAssert(tid <= Epoch::kMaxTaggableTid, "lockset thread id ", tid,
+               " out of range");
+    if (tid >= threads_.size()) {
+        threads_.resize(tid + 1);
+        ids_.resize(tid + 1, {LocksetTable::kEmpty, LocksetTable::kEmpty});
+    }
+    return threads_[tid];
+}
+
+void
+LocksetDetector::refreshIds(ThreadId tid)
+{
+    const ThreadLocks &t = threads_[tid];
+    ids_[tid] = {sets_.intern(t.held), sets_.intern(t.write_held)};
 }
 
 void
 LocksetDetector::onLock(ThreadId tid, std::uint64_t lock_id,
                         bool write_mode)
 {
-    auto &locks = held_[tid];
-    if (std::find(locks.begin(), locks.end(), lock_id) == locks.end())
-        locks.push_back(lock_id);
-    if (write_mode) {
-        auto &wlocks = write_held_[tid];
-        if (std::find(wlocks.begin(), wlocks.end(), lock_id)
-                == wlocks.end()) {
-            wlocks.push_back(lock_id);
+    ThreadLocks &t = threadLocks(tid);
+    const auto add = [lock_id](std::vector<std::uint64_t> &locks) {
+        if (std::find(locks.begin(), locks.end(), lock_id)
+                != locks.end()) {
+            return false;
         }
-    }
+        locks.push_back(lock_id);
+        return true;
+    };
+    bool changed = add(t.held);
+    if (write_mode)
+        changed |= add(t.write_held);
+    if (changed)
+        refreshIds(tid);
 }
 
 void
 LocksetDetector::onUnlock(ThreadId tid, std::uint64_t lock_id)
 {
-    auto &locks = held_[tid];
-    locks.erase(std::remove(locks.begin(), locks.end(), lock_id),
-                locks.end());
-    auto &wlocks = write_held_[tid];
-    wlocks.erase(std::remove(wlocks.begin(), wlocks.end(), lock_id),
-                 wlocks.end());
+    ThreadLocks &t = threadLocks(tid);
+    const std::size_t removed = std::erase(t.held, lock_id)
+        + std::erase(t.write_held, lock_id);
+    if (removed != 0)
+        refreshIds(tid);
 }
 
 std::vector<std::uint64_t>
 LocksetDetector::heldLocks(ThreadId tid) const
 {
-    auto it = held_.find(tid);
-    return it == held_.end() ? std::vector<std::uint64_t>{}
-                             : it->second;
-}
-
-const std::vector<std::uint64_t> &
-LocksetDetector::modeLocks(ThreadId tid, bool write)
-{
-    return write ? write_held_[tid] : held_[tid];
-}
-
-void
-LocksetDetector::refine(Var &var, ThreadId tid, bool write)
-{
-    const auto &locks = modeLocks(tid, write);
-    std::erase_if(var.candidates, [&](std::uint64_t lock) {
-        return std::find(locks.begin(), locks.end(), lock)
-            == locks.end();
-    });
+    return tid < threads_.size() ? threads_[tid].held
+                                 : std::vector<std::uint64_t>{};
 }
 
 AccessOutcome
 LocksetDetector::onAccess(ThreadId tid, Addr addr, bool write,
                           SiteId site)
 {
-    AccessOutcome outcome;
-    Var &var = vars_[addr >> granule_shift_];
+    using State = LocksetRecord::State;
 
-    switch (var.state) {
+    AccessOutcome outcome;
+    const std::uint64_t g = addr >> granule_shift_;
+    LocksetRecord &slot = shadow_->record(g);
+    LocksetRecord rec = slot;
+    const std::uint32_t locks = modeLocks(tid, write);
+
+    switch (rec.state()) {
       case State::kVirgin:
-        var.state = State::kExclusive;
-        var.owner = tid;
-        var.candidates = modeLocks(tid, write);
+        rec.setState(State::kExclusive);
+        rec.lockset = locks;
+        ++vars_;
         break;
 
       case State::kExclusive:
-        if (var.owner == tid) {
+        if (rec.last_tid == tid) {
             // Track the owner's lockset so the eventual transition
             // intersects both sides (sharper than original Eraser,
             // which seeded C(v) from the second thread only and
             // needed a third access to notice a two-lock mismatch).
-            var.candidates = modeLocks(tid, write);
+            rec.lockset = locks;
             break;
         }
         outcome.inter_thread = true;
-        refine(var, tid, write);
-        var.state = (write || var.last_was_write)
-            ? State::kSharedModified
-            : State::kShared;
+        rec.lockset = sets_.intersect(rec.lockset, locks);
+        rec.setState((write || rec.lastWasWrite())
+                         ? State::kSharedModified
+                         : State::kShared);
         break;
 
       case State::kShared:
-        outcome.inter_thread = var.last_tid != tid;
-        refine(var, tid, write);
+        outcome.inter_thread = rec.last_tid != tid;
+        rec.lockset = sets_.intersect(rec.lockset, locks);
         if (write)
-            var.state = State::kSharedModified;
+            rec.setState(State::kSharedModified);
         break;
 
       case State::kSharedModified:
-        outcome.inter_thread = var.last_tid != tid;
-        refine(var, tid, write);
+        outcome.inter_thread = rec.last_tid != tid;
+        rec.lockset = sets_.intersect(rec.lockset, locks);
         break;
     }
 
-    if (var.state == State::kSharedModified && var.candidates.empty()
-        && !var.reported) {
-        var.reported = true;
+    if (rec.reported()) {
+        // No further report can name this variable, so its last site
+        // is dead: skip the cold-column store.
+    } else if (rec.state() == State::kSharedModified
+               && rec.lockset == LocksetTable::kEmpty) {
+        rec.bits |= LocksetRecord::kReported;
         outcome.race = true;
         sink_.report(RaceReport{
             .addr = addr,
             .type = write
-                ? (var.last_was_write ? RaceType::kWriteWrite
+                ? (rec.lastWasWrite() ? RaceType::kWriteWrite
                                       : RaceType::kReadWrite)
                 : RaceType::kWriteRead,
-            .first_tid = var.last_tid,
-            .first_site = var.last_site,
+            .first_tid = rec.last_tid,
+            .first_site = shadow_->sites().get(g),
             .second_tid = tid,
             .second_site = site,
         });
+    } else {
+        shadow_->sites().set(g, site);
     }
 
-    var.last_tid = tid;
-    var.last_site = site;
-    var.last_was_write = write;
+    rec.last_tid = static_cast<std::uint16_t>(tid);
+    rec.bits = static_cast<std::uint8_t>(
+        (rec.bits & ~LocksetRecord::kLastWasWrite)
+        | (write ? LocksetRecord::kLastWasWrite : 0));
+    // Store-avoiding: an owner re-touching its own granule leaves the
+    // record unchanged and the shadow line clean.
+    if (!(rec == slot))
+        slot = rec;
     return outcome;
 }
 

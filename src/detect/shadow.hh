@@ -29,12 +29,12 @@
 #define HDRD_DETECT_SHADOW_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/radix_table.hh"
 #include "common/types.hh"
 #include "detect/clock_pool.hh"
 #include "detect/epoch.hh"
+#include "detect/site_table.hh"
 #include "detect/vector_clock.hh"
 
 namespace hdrd::detect
@@ -88,112 +88,6 @@ struct VarState
 
 static_assert(sizeof(VarState) == 16,
               "VarState must stay a 16-byte hot record");
-
-/**
- * Cold per-granule metadata: the static sites of the last write and
- * last read, needed only to attribute race reports. Packed to two
- * 16-bit slots per granule; the rare site id that does not fit (trace
- * replays can carry arbitrary 32-bit sites) spills to an exact
- * overflow map behind a sentinel.
- */
-class SiteTable
-{
-  public:
-    /** Site for the last write to granule @p g (kInvalidSite if none). */
-    SiteId writeSite(std::uint64_t g) const
-    {
-        const Packed *p = table_.peek(g);
-        return p == nullptr ? kInvalidSite : unpack(p->w, big_w_, g);
-    }
-
-    /** Site for the last read of granule @p g (kInvalidSite if none). */
-    SiteId readSite(std::uint64_t g) const
-    {
-        const Packed *p = table_.peek(g);
-        return p == nullptr ? kInvalidSite : unpack(p->r, big_r_, g);
-    }
-
-    void setWriteSite(std::uint64_t g, SiteId site)
-    {
-        pack(table_.get(g).w, big_w_, g, site);
-    }
-
-    void setReadSite(std::uint64_t g, SiteId site)
-    {
-        pack(table_.get(g).r, big_r_, g, site);
-    }
-
-    /** Retire every entry in O(1), keeping storage for recycling. */
-    void reset()
-    {
-        table_.reset();
-        if (!big_w_.empty())
-            big_w_.clear();
-        if (!big_r_.empty())
-            big_r_.clear();
-    }
-
-  private:
-    /** "no site recorded" (maps to kInvalidSite). */
-    static constexpr std::uint16_t kNone = 0xFFFF;
-
-    /** Sentinel: the exact value lives in the overflow map. */
-    static constexpr std::uint16_t kBig = 0xFFFE;
-
-    struct Packed
-    {
-        std::uint16_t w = kNone;
-        std::uint16_t r = kNone;
-    };
-
-    using Overflow = std::unordered_map<std::uint64_t, SiteId>;
-
-    static SiteId unpack(std::uint16_t slot, const Overflow &big,
-                         std::uint64_t g)
-    {
-        if (slot == kNone)
-            return kInvalidSite;
-        if (slot != kBig)
-            return slot;
-        const auto it = big.find(g);
-        return it == big.end() ? kInvalidSite : it->second;
-    }
-
-    static void pack(std::uint16_t &slot, Overflow &big,
-                     std::uint64_t g, SiteId site)
-    {
-        if (site < kBig) {
-            // Common case, store-avoiding: a sweep re-recording its
-            // own site must not dirty the cold line (the rewrite is
-            // ~every slow-path access; the dirty eviction is what
-            // costs at cache-spilling scale).
-            const auto want = static_cast<std::uint16_t>(site);
-            if (slot == want)
-                return;
-            if (slot == kBig)
-                big.erase(g);
-            slot = want;
-            return;
-        }
-        if (site == kInvalidSite) {
-            if (slot == kNone)
-                return;
-            if (slot == kBig)
-                big.erase(g);
-            slot = kNone;
-            return;
-        }
-        slot = kBig;
-        big[g] = site;
-    }
-
-    /** Same chunking as the hot table (see ShadowMemory::kChunkBits). */
-    RadixTable<Packed, 9> table_;
-
-    /** Exact values behind kBig sentinels, write/read separately. */
-    Overflow big_w_;
-    Overflow big_r_;
-};
 
 /**
  * Lazily materialized shadow memory.

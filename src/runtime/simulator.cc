@@ -135,8 +135,10 @@ Simulator::runImpl(Program &program, RunObserver *observer)
         detector = std::make_unique<detect::NaiveHbDetector>(
             clocks, result.reports, granule_shift);
     } else if (config_.detector == DetectorKind::kLockset) {
+        // Borrowed like the FastTrack shadow below: the previous
+        // run's records are retired in O(1) and their pages recycled.
         detector = std::make_unique<detect::LocksetDetector>(
-            result.reports, granule_shift);
+            result.reports, ls_shadow_, granule_shift);
     } else {
         // Borrow the engine's persistent shadow: the ctor retires any
         // previous run's state in O(1) and recycles its chunk pages

@@ -27,6 +27,7 @@
 #include "common/types.hh"
 #include "demand/controller.hh"
 #include "demand/strategy.hh"
+#include "detect/lockset.hh"
 #include "detect/report.hh"
 #include "detect/shadow.hh"
 #include "instr/cost_model.hh"
@@ -308,6 +309,9 @@ class Simulator
 
     /** Persistent FastTrack shadow scratch, recycled per run. */
     detect::ShadowMemory ft_shadow_;
+
+    /** Persistent lockset records and sites, recycled per run. */
+    detect::LocksetShadow ls_shadow_;
 };
 
 } // namespace hdrd::runtime

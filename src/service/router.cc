@@ -522,7 +522,8 @@ Router::submitBatch(const std::vector<BatchJob> &jobs,
         auto spill = [&]() {
             std::lock_guard<std::mutex> lock(straggler_mutex);
             for (std::size_t i : group) {
-                if (results[i].status != SubmitStatus::kOk)
+                if (results[i].status != SubmitStatus::kOk
+                    && results[i].status != SubmitStatus::kRejected)
                     stragglers.push_back(i);
             }
         };
@@ -567,6 +568,14 @@ Router::submitBatch(const std::vector<BatchJob> &jobs,
                     ++rerouted_here;
             } else if (!response.transport_ok) {
                 transport_lost = true;
+            } else if (!response.isBusy()) {
+                // A per-job ERROR is final, as in submit(): every
+                // daemon would answer the same, so it must not run
+                // again through the failover pass.
+                results[i].status = SubmitStatus::kRejected;
+                results[i].payload = response.payload;
+                results[i].endpoint = static_cast<int>(ep);
+                results[i].attempts = 1;
             }
         }
         if (rerouted_here > 0) {
@@ -590,9 +599,10 @@ Router::submitBatch(const std::vector<BatchJob> &jobs,
     for (std::thread &t : threads)
         t.join();
 
-    // Failover pass: everything without a report goes through the
-    // full per-job retry machinery, in input order so the schedule
-    // is reproducible for a fixed seed.
+    // Failover pass: everything without a report or an ERROR (BUSY,
+    // lost transport, unplaceable) goes through the full per-job
+    // retry machinery, in input order so the schedule is
+    // reproducible for a fixed seed.
     std::sort(stragglers.begin(), stragglers.end());
     for (std::size_t i : stragglers) {
         results[i] = submit(jobs[i].key, jobs[i].options,

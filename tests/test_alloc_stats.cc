@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -92,16 +95,36 @@ TEST(AllocStats, ExitedThreadsRetainTheirTotals)
 
 TEST(AllocStats, PeakRssIsReportedAndResettable)
 {
+    // Touched 64 MiB anonymous mappings: munmap hands their pages
+    // straight back to the kernel (no allocator or sanitizer
+    // quarantine in between), so each move of the watermark below is
+    // exact enough to assert with a wide margin, whatever else the
+    // process does.
+    constexpr std::size_t kBallast = std::size_t{64} << 20;
+    constexpr std::uint64_t kMinMoveKb = std::uint64_t{48} << 10;
+    auto touchBallast = [] {
+        void *p = mmap(nullptr, kBallast, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p != MAP_FAILED)
+            std::memset(p, 1, kBallast);
+        return p;
+    };
+    void *ballast = touchBallast();
+    ASSERT_NE(ballast, MAP_FAILED);
     const std::uint64_t peak = peakRssKb();
-    EXPECT_GT(peak, 0u);
+    EXPECT_GE(peak, kBallast >> 10);
+    ASSERT_EQ(munmap(ballast, kBallast), 0);
     if (resetPeakRss()) {
-        // After a reset the watermark re-measures from current RSS:
-        // it must still be positive and no larger than the old peak.
+        // The fresh watermark re-measures from current RSS, which no
+        // longer holds the ballast.
         const std::uint64_t after = peakRssKb();
         EXPECT_GT(after, 0u);
-        EXPECT_LE(after, peak);
-        // Growing the heap moves the fresh watermark up again.
-        std::vector<char> ballast(32 << 20, 1);
-        EXPECT_GE(peakRssKb(), after);
+        EXPECT_LE(after + kMinMoveKb, peak);
+        // Touching a second ballast moves the fresh watermark up
+        // again by about its size.
+        void *regrow = touchBallast();
+        ASSERT_NE(regrow, MAP_FAILED);
+        EXPECT_GE(peakRssKb(), after + kMinMoveKb);
+        ASSERT_EQ(munmap(regrow, kBallast), 0);
     }
 }

@@ -10,8 +10,17 @@
  * so any engine change that alters a schedule, a race report, or a
  * single counter anywhere fails here with the exact cell named.
  *
+ * A second table, golden_lockset_hashes.inc, freezes the lockset
+ * baseline the same way: every registry workload in continuous and
+ * demand-hitm mode, seed 1. Each lockset cell runs twice on one
+ * long-lived Simulator per host worker, so the engine-owned lockset
+ * shadow is recycled across runs and workloads, and both runs must
+ * hash identically.
+ *
  * Regenerate (only when behaviour is *supposed* to change):
  *   ./tests/test_golden --emit-golden > ../tests/golden_hashes.inc
+ *   ./tests/test_golden --emit-golden-lockset \
+ *       > ../tests/golden_lockset_hashes.inc
  */
 
 #include <gtest/gtest.h>
@@ -43,6 +52,10 @@ struct GoldenCell
 
 const GoldenCell kGolden[] = {
 #include "golden_hashes.inc"
+};
+
+const GoldenCell kGoldenLockset[] = {
+#include "golden_lockset_hashes.inc"
 };
 
 /** FNV-1a 64-bit. */
@@ -85,13 +98,21 @@ enumerateCells()
     return cells;
 }
 
-std::uint64_t
-runCell(const GoldenCell &cell)
+/** Lockset cells; order defines golden_lockset_hashes.inc. */
+std::vector<GoldenCell>
+enumerateLocksetCells()
 {
-    const auto *info = workloads::findWorkload(cell.workload);
-    if (info == nullptr)
-        return 0;
+    std::vector<GoldenCell> cells;
+    for (const auto &info : workloads::allWorkloads()) {
+        for (const char *mode : {"continuous", "demand-hitm"})
+            cells.push_back({info.name.c_str(), mode, "earliest", 1, 0});
+    }
+    return cells;
+}
 
+runtime::SimConfig
+cellConfig(const GoldenCell &cell, runtime::DetectorKind detector)
+{
     runtime::SimConfig config;
     if (std::strcmp(cell.mode, "native") == 0)
         config.mode = instr::ToolMode::kNative;
@@ -99,7 +120,7 @@ runCell(const GoldenCell &cell)
         config.mode = instr::ToolMode::kContinuous;
     else
         config.mode = instr::ToolMode::kDemand;
-    config.detector = runtime::DetectorKind::kFastTrack;
+    config.detector = detector;
     config.gating.strategy = demand::Strategy::kDemandHitm;
     config.seed = cell.seed;
     config.track_ground_truth = cell.seed == 2;
@@ -109,6 +130,17 @@ runCell(const GoldenCell &cell)
         config.sched_policy = runtime::SchedPolicy::kRoundRobin;
     else if (std::strcmp(cell.policy, "jitter") == 0)
         config.sched_jitter = 0.3;
+    return config;
+}
+
+/** Hash of one run of @p cell on @p sim (reconfigured for it). */
+std::uint64_t
+runCell(runtime::Simulator &sim, const GoldenCell &cell,
+        runtime::DetectorKind detector)
+{
+    const auto *info = workloads::findWorkload(cell.workload);
+    if (info == nullptr)
+        return 0;
 
     workloads::WorkloadParams params;
     params.nthreads = 4;
@@ -116,16 +148,23 @@ runCell(const GoldenCell &cell)
     params.seed = cell.seed + 41;
 
     auto program = info->factory(params);
-    const auto result = runtime::Simulator::runWith(*program, config);
+    sim.reconfigure(cellConfig(cell, detector));
+    const auto result = sim.run(*program);
     std::ostringstream os;
     result.dump(os);
     return fnv1a(os.str());
 }
 
-/** Run every cell across a small host worker pool. */
+/**
+ * Run every cell across a small host worker pool. FastTrack cells
+ * each get a fresh engine; lockset cells run twice on the worker's
+ * long-lived engine and hash 0 unless both runs agree.
+ */
 std::vector<std::uint64_t>
-runAllCells(const std::vector<GoldenCell> &cells)
+runAllCells(const std::vector<GoldenCell> &cells,
+            runtime::DetectorKind detector)
 {
+    const bool reuse = detector == runtime::DetectorKind::kLockset;
     std::vector<std::uint64_t> hashes(cells.size(), 0);
     const unsigned nworkers = std::max(
         1u, std::min(8u, std::thread::hardware_concurrency()));
@@ -133,8 +172,19 @@ runAllCells(const std::vector<GoldenCell> &cells)
     pool.reserve(nworkers);
     for (unsigned w = 0; w < nworkers; ++w) {
         pool.emplace_back([&, w]() {
-            for (std::size_t i = w; i < cells.size(); i += nworkers)
-                hashes[i] = runCell(cells[i]);
+            runtime::Simulator engine{runtime::SimConfig{}};
+            for (std::size_t i = w; i < cells.size(); i += nworkers) {
+                if (reuse) {
+                    const std::uint64_t first =
+                        runCell(engine, cells[i], detector);
+                    const std::uint64_t second =
+                        runCell(engine, cells[i], detector);
+                    hashes[i] = first == second ? first : 0;
+                } else {
+                    runtime::Simulator fresh{runtime::SimConfig{}};
+                    hashes[i] = runCell(fresh, cells[i], detector);
+                }
+            }
         });
     }
     for (auto &t : pool)
@@ -142,23 +192,54 @@ runAllCells(const std::vector<GoldenCell> &cells)
     return hashes;
 }
 
-} // namespace
-
-TEST(Golden, DumpHashesMatchFrozenEngineBehaviour)
+/** Compare a fresh run of @p cells against the frozen @p golden. */
+void
+expectMatchesGolden(const std::vector<GoldenCell> &cells,
+                    const GoldenCell *golden, std::size_t ngolden,
+                    runtime::DetectorKind detector)
 {
-    const auto cells = enumerateCells();
-    ASSERT_EQ(cells.size(), std::size(kGolden))
-        << "cell enumeration changed; regenerate golden_hashes.inc";
-    const auto hashes = runAllCells(cells);
+    ASSERT_EQ(cells.size(), ngolden)
+        << "cell enumeration changed; regenerate the golden table";
+    const auto hashes = runAllCells(cells, detector);
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        EXPECT_STREQ(cells[i].workload, kGolden[i].workload);
-        EXPECT_STREQ(cells[i].mode, kGolden[i].mode);
-        EXPECT_STREQ(cells[i].policy, kGolden[i].policy);
-        EXPECT_EQ(hashes[i], kGolden[i].hash)
+        EXPECT_STREQ(cells[i].workload, golden[i].workload);
+        EXPECT_STREQ(cells[i].mode, golden[i].mode);
+        EXPECT_STREQ(cells[i].policy, golden[i].policy);
+        EXPECT_EQ(hashes[i], golden[i].hash)
             << "behaviour diverged: " << cells[i].workload << " mode="
             << cells[i].mode << " policy=" << cells[i].policy
             << " seed=" << cells[i].seed;
     }
+}
+
+/** Print @p cells' hashes in the .inc table format. */
+void
+emitGolden(const std::vector<GoldenCell> &cells,
+           runtime::DetectorKind detector)
+{
+    const auto hashes = runAllCells(cells, detector);
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        std::printf("{\"%s\", \"%s\", \"%s\", %llu, "
+                    "0x%016llxULL},\n",
+                    cells[c].workload, cells[c].mode, cells[c].policy,
+                    static_cast<unsigned long long>(cells[c].seed),
+                    static_cast<unsigned long long>(hashes[c]));
+    }
+}
+
+} // namespace
+
+TEST(Golden, DumpHashesMatchFrozenEngineBehaviour)
+{
+    expectMatchesGolden(enumerateCells(), kGolden, std::size(kGolden),
+                        runtime::DetectorKind::kFastTrack);
+}
+
+TEST(Golden, LocksetDumpHashesMatchFrozenBehaviourOnReusedEngine)
+{
+    expectMatchesGolden(enumerateLocksetCells(), kGoldenLockset,
+                        std::size(kGoldenLockset),
+                        runtime::DetectorKind::kLockset);
 }
 
 int
@@ -166,18 +247,13 @@ main(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--emit-golden") == 0) {
-            const auto cells = enumerateCells();
-            const auto hashes = runAllCells(cells);
-            for (std::size_t c = 0; c < cells.size(); ++c) {
-                std::printf("{\"%s\", \"%s\", \"%s\", %llu, "
-                            "0x%016llxULL},\n",
-                            cells[c].workload, cells[c].mode,
-                            cells[c].policy,
-                            static_cast<unsigned long long>(
-                                cells[c].seed),
-                            static_cast<unsigned long long>(
-                                hashes[c]));
-            }
+            emitGolden(enumerateCells(),
+                       runtime::DetectorKind::kFastTrack);
+            return 0;
+        }
+        if (std::strcmp(argv[i], "--emit-golden-lockset") == 0) {
+            emitGolden(enumerateLocksetCells(),
+                       runtime::DetectorKind::kLockset);
             return 0;
         }
     }

@@ -3,11 +3,20 @@
  * Tests for the Eraser-style lockset detector: the state machine,
  * candidate-set refinement, and its characteristic strengths
  * (schedule insensitivity) and weaknesses (false positives on
- * non-lock synchronization) versus happens-before detection.
+ * non-lock synchronization) versus happens-before detection. A
+ * differential property test drives the packed, interned detector
+ * and a plain vector/hash-map Eraser reference with the same random
+ * lock and access sequences.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.hh"
+#include "detect/epoch.hh"
 #include "detect/lockset.hh"
 #include "instr/cost_model.hh"
 #include "runtime/simulator.hh"
@@ -24,6 +33,149 @@ namespace
 {
 
 constexpr Addr kX = 0x1000;
+
+/**
+ * Reference Eraser: per-variable candidate vectors in a hash map,
+ * per-thread held-lock vectors, every report recorded. Deliberately
+ * the simplest correct form of the state machine LocksetDetector
+ * implements over packed records and interned sets.
+ */
+class RefEraser
+{
+  public:
+    explicit RefEraser(std::uint32_t granule_shift)
+        : granule_shift_(granule_shift)
+    {
+    }
+
+    void onLock(ThreadId tid, std::uint64_t lock, bool write_mode)
+    {
+        addUnique(held_[tid], lock);
+        if (write_mode)
+            addUnique(write_held_[tid], lock);
+    }
+
+    void onUnlock(ThreadId tid, std::uint64_t lock)
+    {
+        std::erase(held_[tid], lock);
+        std::erase(write_held_[tid], lock);
+    }
+
+    std::vector<std::uint64_t> heldLocks(ThreadId tid) const
+    {
+        const auto it = held_.find(tid);
+        return it == held_.end() ? std::vector<std::uint64_t>{}
+                                 : it->second;
+    }
+
+    std::size_t trackedVars() const { return vars_.size(); }
+    void clearShadow() { vars_.clear(); }
+
+    /** @return the access's outcome; a race lands in @p report. */
+    AccessOutcome onAccess(ThreadId tid, Addr addr, bool write,
+                           SiteId site, RaceReport &report)
+    {
+        AccessOutcome outcome;
+        Var &var = vars_[addr >> granule_shift_];
+        const std::vector<std::uint64_t> &locks =
+            write ? write_held_[tid] : held_[tid];
+        const auto refine = [&] {
+            std::erase_if(var.candidates, [&](std::uint64_t lock) {
+                return std::find(locks.begin(), locks.end(), lock)
+                    == locks.end();
+            });
+        };
+        switch (var.state) {
+          case kVirgin:
+            var.state = kExclusive;
+            var.owner = tid;
+            var.candidates = locks;
+            break;
+          case kExclusive:
+            if (var.owner == tid) {
+                var.candidates = locks;
+                break;
+            }
+            outcome.inter_thread = true;
+            refine();
+            var.state = (write || var.last_was_write) ? kSharedModified
+                                                      : kShared;
+            break;
+          case kShared:
+            outcome.inter_thread = var.last_tid != tid;
+            refine();
+            if (write)
+                var.state = kSharedModified;
+            break;
+          case kSharedModified:
+            outcome.inter_thread = var.last_tid != tid;
+            refine();
+            break;
+        }
+        if (var.state == kSharedModified && var.candidates.empty()
+            && !var.reported) {
+            var.reported = true;
+            outcome.race = true;
+            report = RaceReport{
+                .addr = addr,
+                .type = write ? (var.last_was_write
+                                     ? RaceType::kWriteWrite
+                                     : RaceType::kReadWrite)
+                              : RaceType::kWriteRead,
+                .first_tid = var.last_tid,
+                .first_site = var.last_site,
+                .second_tid = tid,
+                .second_site = site,
+            };
+        }
+        var.last_tid = tid;
+        var.last_site = site;
+        var.last_was_write = write;
+        return outcome;
+    }
+
+  private:
+    enum State
+    {
+        kVirgin,
+        kExclusive,
+        kShared,
+        kSharedModified,
+    };
+
+    struct Var
+    {
+        State state = kVirgin;
+        ThreadId owner = kInvalidThread;
+        std::vector<std::uint64_t> candidates;
+        ThreadId last_tid = kInvalidThread;
+        SiteId last_site = kInvalidSite;
+        bool last_was_write = false;
+        bool reported = false;
+    };
+
+    static void addUnique(std::vector<std::uint64_t> &v,
+                          std::uint64_t lock)
+    {
+        if (std::find(v.begin(), v.end(), lock) == v.end())
+            v.push_back(lock);
+    }
+
+    std::uint32_t granule_shift_;
+    std::unordered_map<std::uint64_t, Var> vars_;
+    std::unordered_map<ThreadId, std::vector<std::uint64_t>> held_;
+    std::unordered_map<ThreadId, std::vector<std::uint64_t>>
+        write_held_;
+};
+
+bool
+sameReport(const RaceReport &a, const RaceReport &b)
+{
+    return a.addr == b.addr && a.type == b.type
+        && a.first_tid == b.first_tid && a.first_site == b.first_site
+        && a.second_tid == b.second_tid
+        && a.second_site == b.second_site;
+}
 
 } // namespace
 
@@ -243,4 +395,154 @@ TEST(Lockset, NameAndTrackedVars)
     EXPECT_EQ(detector.trackedVars(), 2u);
     detector.clearShadow();
     EXPECT_EQ(detector.trackedVars(), 0u);
+}
+
+TEST(Lockset, MatchesReferenceEraserOnRandomSequences)
+{
+    // Thread ids up to the taggable maximum (the record keeps 16
+    // bits), lock ids in both the mutex and the (1 << 62)-tagged
+    // rwlock key space, and sites at and beyond the 16-bit slot's
+    // sentinels so the exact overflow path runs too.
+    const ThreadId kTids[] = {0, 1, 2, 3, 0x1234,
+                              Epoch::kMaxTaggableTid};
+    const SiteId kSites[] = {0, 1, 7, 0xFFFD, 0xFFFE, 0xFFFF,
+                             0x10000, 0xDEADBEEF, kInvalidSite};
+    constexpr std::uint64_t kRw = std::uint64_t{1} << 62;
+    std::size_t races = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        const std::uint32_t shift = seed % 3 == 0 ? 0 : 3;
+        const std::uint64_t nlocks = 1 + rng.nextBounded(40);
+        const std::uint64_t ngranules = 1 + rng.nextBounded(64);
+        ReportSink sink;
+        LocksetDetector detector(sink, shift);
+        RefEraser ref(shift);
+        for (int round = 0; round < 3; ++round) {
+            for (int step = 0; step < 3000; ++step) {
+                const ThreadId tid = kTids[rng.nextBounded(std::size(kTids))];
+                const std::uint64_t roll = rng.nextBounded(100);
+                if (roll < 20) {
+                    const bool rw = rng.nextBounded(2) == 0;
+                    const std::uint64_t lock =
+                        (rw ? kRw : 0) | rng.nextBounded(nlocks);
+                    const bool write_mode = !rw || rng.nextBounded(2) == 0;
+                    detector.onLock(tid, lock, write_mode);
+                    ref.onLock(tid, lock, write_mode);
+                    continue;
+                }
+                if (roll < 40) {
+                    const std::uint64_t lock =
+                        (rng.nextBounded(2) == 0 ? kRw : 0)
+                        | rng.nextBounded(nlocks);
+                    detector.onUnlock(tid, lock);
+                    ref.onUnlock(tid, lock);
+                    continue;
+                }
+                // Mostly a small shared pool; now and then a key far
+                // past the radix directory ceiling.
+                Addr addr =
+                    rng.nextBounded(ngranules) * 8 + rng.nextBounded(8);
+                if (rng.nextBounded(50) == 0)
+                    addr |= Addr{1} << 60;
+                const bool write = rng.nextBounded(2) == 0;
+                const SiteId site = kSites[rng.nextBounded(std::size(kSites))];
+                sink.clear();  // every race must surface, not deduped
+                RaceReport want;
+                const AccessOutcome got =
+                    detector.onAccess(tid, addr, write, site);
+                const AccessOutcome exp =
+                    ref.onAccess(tid, addr, write, site, want);
+                ASSERT_EQ(got.race, exp.race) << "step " << step;
+                ASSERT_EQ(got.inter_thread, exp.inter_thread)
+                    << "step " << step;
+                ASSERT_EQ(sink.uniqueCount(), exp.race ? 1u : 0u);
+                if (exp.race) {
+                    ++races;
+                    EXPECT_TRUE(sameReport(sink.reports()[0], want))
+                        << "step " << step << ": got "
+                        << sink.reports()[0] << ", want " << want;
+                }
+            }
+            for (const ThreadId tid : kTids)
+                ASSERT_EQ(detector.heldLocks(tid), ref.heldLocks(tid));
+            ASSERT_EQ(detector.trackedVars(), ref.trackedVars());
+            detector.clearShadow();
+            ref.clearShadow();
+            ASSERT_EQ(detector.trackedVars(), 0u);
+        }
+    }
+    EXPECT_GT(races, 100u);  // the sequences do reach the report path
+}
+
+TEST(Lockset, InternTableStoresEachSetOnceAndMemoizesMeets)
+{
+    LocksetTable table;
+    EXPECT_EQ(table.size(), 1u);  // the empty set
+    EXPECT_EQ(table.intern({}), LocksetTable::kEmpty);
+    const std::uint32_t ab = table.intern({2, 1});
+    EXPECT_EQ(table.intern({1, 2}), ab);
+    EXPECT_EQ(table.locks(ab), (std::vector<std::uint64_t>{1, 2}));
+    const std::uint32_t bc = table.intern({3, 2});
+    const std::uint32_t b = table.intersect(ab, bc);
+    EXPECT_EQ(table.locks(b), (std::vector<std::uint64_t>{2}));
+    EXPECT_EQ(table.intersect(bc, ab), b);
+    EXPECT_EQ(table.intersect(ab, ab), ab);
+    EXPECT_EQ(table.intersect(ab, LocksetTable::kEmpty),
+              LocksetTable::kEmpty);
+    EXPECT_EQ(table.intersect(table.intern({1}), table.intern({3})),
+              LocksetTable::kEmpty);
+    EXPECT_EQ(table.size(), 6u);  // {}, {1,2}, {2,3}, {2}, {1}, {3}
+    table.clear();
+    EXPECT_EQ(table.size(), 1u);
+    EXPECT_EQ(table.intern({5}), 1u);
+}
+
+TEST(Lockset, MeetMemoStaysBoundedAndExact)
+{
+    // {G, B_i} for many bucket locks B_i under one common lock G:
+    // every pair meets to {G}, a fresh memo entry per pair.
+    LocksetTable table;
+    constexpr std::uint64_t kG = 1;
+    constexpr std::uint64_t kBuckets = 400;
+    std::vector<std::uint32_t> ids;
+    for (std::uint64_t b = 0; b < kBuckets; ++b)
+        ids.push_back(table.intern({kG, 100 + b}));
+    const std::uint32_t g = table.intern({kG});
+    std::size_t pairs = 0;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        for (std::size_t j = i + 1; j < ids.size(); ++j, ++pairs) {
+            ASSERT_EQ(table.intersect(ids[i], ids[j]), g);
+            ASSERT_LE(table.memoizedMeets(), LocksetTable::kMaxMeets);
+        }
+    }
+    EXPECT_GT(pairs, LocksetTable::kMaxMeets);
+    // Dropping the memo keeps every id, so later meets still agree.
+    EXPECT_EQ(table.intersect(ids[0], ids[1]), g);
+    EXPECT_EQ(table.size(), kBuckets + 2);
+}
+
+TEST(Lockset, EngineReusesShadowAcrossRuns)
+{
+    // Back-to-back runs on one engine recycle the lockset pages and
+    // still report exactly what a fresh engine does.
+    const auto *info = findWorkload("micro.racy_counter");
+    WorkloadParams params;
+    params.scale = 0.1;
+    SimConfig config;
+    config.mode = ToolMode::kContinuous;
+    config.detector = DetectorKind::kLockset;
+    auto fresh_prog = info->factory(params);
+    const auto fresh = Simulator::runWith(*fresh_prog, config);
+    Simulator engine(config);
+    for (int run = 0; run < 3; ++run) {
+        auto prog = info->factory(params);
+        const auto again = engine.run(*prog);
+        ASSERT_EQ(again.reports.uniqueCount(),
+                  fresh.reports.uniqueCount());
+        for (std::size_t i = 0; i < fresh.reports.uniqueCount(); ++i) {
+            EXPECT_TRUE(sameReport(again.reports.reports()[i],
+                                   fresh.reports.reports()[i]));
+        }
+    }
 }

@@ -524,6 +524,67 @@ TEST(RouterLive, BatchFailsOverWhenADaemonDies)
     server_b->stop();
 }
 
+TEST(RouterLive, BatchJobErrorIsFinalAndRunsOnce)
+{
+    // A poison trace gets a per-job ERROR; the batch path must take
+    // it as final, not re-run it through the failover pass.
+    const std::string dir(::testing::TempDir());
+    const std::vector<std::string> socks = {
+        dir + "hdrd_rt_poison_a.sock", dir + "hdrd_rt_poison_b.sock"};
+    std::vector<std::unique_ptr<Server>> servers;
+    for (const std::string &path : socks) {
+        ServerConfig config;
+        config.unix_path = path;
+        config.workers = 1;
+        config.queue_capacity = 4;
+        servers.push_back(std::make_unique<Server>(std::move(config)));
+        std::string err;
+        ASSERT_TRUE(servers.back()->start(err)) << err;
+    }
+
+    std::ifstream in(std::string(HDRD_POISON_DIR) + "/unlock_unheld.trc",
+                     std::ios::binary);
+    ASSERT_TRUE(in.good());
+    std::ostringstream image;
+    image << in.rdbuf();
+    const std::string trace = image.str();
+
+    Router router({ep(socks[0]), ep(socks[1])}, RouterConfig{});
+    Router::BatchJob job;
+    job.key = "poison";
+    job.options.flags = kJobOmitHostTiming;
+    job.trace = &trace;
+    const std::vector<SubmitResult> results =
+        router.submitBatch({job}, 4);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].status, SubmitStatus::kRejected);
+    EXPECT_NE(results[0].payload.find("unlock"), std::string::npos)
+        << results[0].payload;
+    EXPECT_EQ(results[0].attempts, 1u);
+
+    std::int64_t accepted = 0;
+    std::int64_t failed = 0;
+    for (const std::string &path : socks) {
+        Client client;
+        std::string err;
+        ASSERT_TRUE(client.connectUnix(path, err)) << err;
+        const Response stats = client.stats();
+        ASSERT_TRUE(stats.transport_ok);
+        std::int64_t value = 0;
+        if (Router::metricValue(stats.payload, "server.jobs_accepted",
+                                value))
+            accepted += value;
+        if (Router::metricValue(stats.payload, "server.jobs_failed",
+                                value))
+            failed += value;
+    }
+    EXPECT_EQ(accepted, 1);
+    EXPECT_EQ(failed, 1);
+
+    for (auto &server : servers)
+        server->stop();
+}
+
 TEST(RouterLive, ExhaustedFleetReportsTransport)
 {
     RouterConfig config;

@@ -215,8 +215,6 @@ parse(int argc, char **argv)
     if (opt.large) {
         if (opt.scales.empty())
             opt.scales = opt.smoke ? "1" : "4,8";
-        if (opt.smoke)
-            opt.detectors = "fasttrack";
     } else {
         if (!opt.scales.empty())
             fatal("--scales requires --tier=large");
