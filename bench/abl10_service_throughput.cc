@@ -34,7 +34,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -48,7 +47,6 @@
 #include "service/client.hh"
 #include "service/protocol.hh"
 #include "service/server.hh"
-#include "trace/trace_program.hh"
 
 using namespace hdrd;
 
@@ -184,38 +182,19 @@ struct RecordedTrace
 };
 
 RecordedTrace
-recordOne(const workloads::WorkloadInfo &info,
-          const workloads::WorkloadParams &params,
-          const std::string &dir)
+recordOne(const std::string &name,
+          const workloads::WorkloadParams &params)
 {
-    const std::string path = dir + "/reg.trc";
-    auto program = info.factory(params);
-    trace::TraceWriter writer(path, program->name(),
-                              program->numThreads());
-    if (!writer.ok())
-        fail("cannot open trace file " + path);
-    trace::RecordingProgram recording(*program, writer);
-    runtime::SimConfig config;
-    config.mode = instr::ToolMode::kNative;
-    runtime::Simulator::runWith(recording, config);
-    if (!writer.finalize())
-        fail("trace write failed for " + info.name);
-
     RecordedTrace rec;
-    rec.name = info.name;
-    rec.ops = writer.recorded();
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    rec.bytes = buf.str();
-    if (rec.bytes.empty())
-        fail("empty trace for " + info.name);
-    ::unlink(path.c_str());
+    rec.name = name;
+    std::ostringstream image;
+    rec.ops = bench::recordTrace(name, params, image);
+    rec.bytes = image.str();
     return rec;
 }
 
 std::vector<RecordedTrace>
-recordRegistry(const Options &opt, const std::string &dir)
+recordRegistry(const Options &opt)
 {
     workloads::WorkloadParams params;
     params.nthreads = opt.threads;
@@ -223,7 +202,7 @@ recordRegistry(const Options &opt, const std::string &dir)
 
     std::vector<RecordedTrace> traces;
     for (const auto &info : workloads::allWorkloads())
-        traces.push_back(recordOne(info, params, dir));
+        traces.push_back(recordOne(info.name, params));
     return traces;
 }
 
@@ -233,15 +212,12 @@ recordRegistry(const Options &opt, const std::string &dir)
  * floor is the service time.
  */
 std::vector<RecordedTrace>
-recordPlaneTrace(const std::string &dir)
+recordPlaneTrace()
 {
     workloads::WorkloadParams params;
     params.nthreads = 2;
     params.scale = 0.01;
-    for (const auto &info : workloads::allWorkloads())
-        if (info.name == "micro.ping_pong")
-            return {recordOne(info, params, dir)};
-    fail("micro.ping_pong not in registry");
+    return {recordOne("micro.ping_pong", params)};
 }
 
 /** Latency stats snapshot pulled out of a Log2Histogram. */
@@ -643,7 +619,7 @@ main(int argc, char **argv)
 
     std::vector<PointResult> plane_points;
     if (opt.run_plane) {
-        const auto plane_trace = recordPlaneTrace(dir);
+        const auto plane_trace = recordPlaneTrace();
         std::printf("plane mode: %s (%llu ops, %zu bytes), "
                     "min_job_ms=%llu floor\n",
                     plane_trace[0].name.c_str(),
@@ -678,7 +654,7 @@ main(int argc, char **argv)
     std::vector<RecordedTrace> registry;
     std::vector<Log2Histogram> per_workload;
     if (opt.run_compute) {
-        registry = recordRegistry(opt, dir);
+        registry = recordRegistry(opt);
         std::uint64_t total_ops = 0, total_bytes = 0;
         for (const auto &t : registry) {
             total_ops += t.ops;

@@ -3,15 +3,14 @@
  * ABL-12 (our ablation): fleet failover sweep through the shard
  * router.
  *
- * Spawns N real daemon processes (the binary re-execs itself with
- * --serve, so SIGKILL is a genuine process death, not a graceful
- * drain), then drives a fixed job multiset through a Router over a
- * daemons x kills x pipeline-depth grid. At kills > 0 a killer
- * thread SIGKILLs that many non-primary daemons mid-point and
- * restarts them moments later, so every such point measures the
- * full failover path: refused connects, stranded in-flight jobs,
- * jittered backoff, reroute to survivors, and re-admission of the
- * restarted daemon.
+ * Spawns N real hdrd_served processes (so SIGKILL is a genuine
+ * process death, not a graceful drain), then drives a fixed job
+ * multiset through a Router over a daemons x kills x pipeline-depth
+ * grid. At kills > 0 a killer thread SIGKILLs that many non-primary
+ * daemons mid-point and restarts them moments later, so every such
+ * point measures the full failover path: refused connects, stranded
+ * in-flight jobs, jittered backoff, reroute to survivors, and
+ * re-admission of the restarted daemon.
  *
  * Every job uses kJobOmitHostTiming, so reports are byte-stable and
  * the whole sweep shares one correctness oracle: the
@@ -32,7 +31,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -41,14 +39,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "bench_util.hh"
 #include "common/cli.hh"
 #include "service/client.hh"
 #include "service/cluster.hh"
 #include "service/protocol.hh"
 #include "service/router.hh"
-#include "service/server.hh"
-#include "trace/trace_program.hh"
-#include "workloads/registry.hh"
 
 using namespace hdrd;
 
@@ -105,52 +101,10 @@ fail(const std::string &what)
 }
 
 /* ------------------------------------------------------------- */
-/* Daemon child mode: `abl12_fleet --serve=SOCK ...` runs one     */
-/* hdrd_served-equivalent daemon until SIGTERMed (or SIGKILLed by */
-/* the parent's killer thread).                                   */
-/* ------------------------------------------------------------- */
-
-service::Server *g_server = nullptr;
-
-void
-onSignal(int)
-{
-    if (g_server)
-        g_server->requestStop();
-}
-
-[[noreturn]] int
-serveMain(const std::string &socket_path, std::uint32_t workers,
-          std::uint64_t min_job_ms)
-{
-    service::ServerConfig config;
-    config.unix_path = socket_path;
-    config.workers = workers;
-    config.min_job_ms = min_job_ms;
-    config.queue_capacity = 64;
-    config.max_connections = 32;
-
-    service::Server server(config);
-    g_server = &server;
-    std::signal(SIGTERM, onSignal);
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGPIPE, SIG_IGN);
-
-    std::string err;
-    if (!server.start(err)) {
-        std::fprintf(stderr, "abl12 serve: %s\n", err.c_str());
-        std::exit(1);
-    }
-    server.waitForStopRequest();
-    server.stop();
-    std::exit(0);
-}
-
-/* ------------------------------------------------------------- */
-/* Parent-side fleet management. fork+exec of our own binary is   */
-/* async-signal-safe in the child, so daemons can be (re)spawned  */
-/* even while submitter threads are live — which is exactly when  */
-/* the killer thread restarts its victims.                        */
+/* Fleet management: every daemon is the real hdrd_served.        */
+/* fork+exec is async-signal-safe in the child, so daemons can be */
+/* (re)spawned even while submitter threads are live — which is   */
+/* exactly when the killer thread restarts its victims.           */
 /* ------------------------------------------------------------- */
 
 struct Daemon
@@ -159,13 +113,11 @@ struct Daemon
     pid_t pid = -1;
 };
 
-std::string g_self; ///< path of this binary, for re-exec
-
 pid_t
 spawnDaemon(const std::string &socket_path, std::uint32_t workers,
             std::uint64_t min_job_ms)
 {
-    const std::string serve = "--serve=" + socket_path;
+    const std::string socket = "--socket=" + socket_path;
     const std::string w = "--workers=" + std::to_string(workers);
     const std::string m =
         "--min-job-ms=" + std::to_string(min_job_ms);
@@ -174,13 +126,15 @@ spawnDaemon(const std::string &socket_path, std::uint32_t workers,
         fail("fork failed");
     if (pid == 0) {
         char *argv[] = {
-            const_cast<char *>(g_self.c_str()),
-            const_cast<char *>(serve.c_str()),
+            const_cast<char *>(HDRD_SERVED_PATH),
+            const_cast<char *>(socket.c_str()),
             const_cast<char *>(w.c_str()),
             const_cast<char *>(m.c_str()),
+            const_cast<char *>("--queue=64"),
+            const_cast<char *>("--max-conns=32"),
             nullptr,
         };
-        ::execv(g_self.c_str(), argv);
+        ::execv(HDRD_SERVED_PATH, argv);
         _exit(127);
     }
     return pid;
@@ -222,47 +176,18 @@ struct RecordedTrace
 };
 
 std::vector<RecordedTrace>
-recordTraces(const Options &opt, const std::string &dir)
+recordTraces(const Options &opt)
 {
     workloads::WorkloadParams params;
     params.nthreads = 2;
     params.scale = opt.scale;
 
-    const char *names[] = {"micro.ping_pong", "micro.racy_counter",
-                           "micro.locked_counter"};
     std::vector<RecordedTrace> traces;
-    for (const char *want : names) {
-        bool found = false;
-        for (const auto &info : workloads::allWorkloads()) {
-            if (info.name != want)
-                continue;
-            const std::string path = dir + "/rec.trc";
-            auto program = info.factory(params);
-            trace::TraceWriter writer(path, program->name(),
-                                      program->numThreads());
-            if (!writer.ok())
-                fail("cannot open trace file " + path);
-            trace::RecordingProgram recording(*program, writer);
-            runtime::SimConfig config;
-            config.mode = instr::ToolMode::kNative;
-            runtime::Simulator::runWith(recording, config);
-            if (!writer.finalize())
-                fail("trace write failed for " + info.name);
-            RecordedTrace rec;
-            rec.name = info.name;
-            std::ifstream in(path, std::ios::binary);
-            std::stringstream buf;
-            buf << in.rdbuf();
-            rec.bytes = buf.str();
-            if (rec.bytes.empty())
-                fail("empty trace for " + info.name);
-            ::unlink(path.c_str());
-            traces.push_back(std::move(rec));
-            found = true;
-            break;
-        }
-        if (!found)
-            fail(std::string(want) + " not in registry");
+    for (const char *name : {"micro.ping_pong", "micro.racy_counter",
+                             "micro.locked_counter"}) {
+        std::ostringstream image;
+        bench::recordTrace(name, params, image);
+        traces.push_back({name, image.str()});
     }
     return traces;
 }
@@ -489,24 +414,6 @@ writeJson(const Options &opt,
 int
 main(int argc, char **argv)
 {
-    // Child mode first: --serve turns this invocation into a daemon.
-    std::string serve_socket;
-    std::uint32_t serve_workers = 2;
-    std::uint64_t serve_job_ms = 0;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--serve=", 0) == 0)
-            serve_socket = arg.substr(8);
-        else if (serve_socket.empty())
-            break;
-        else if (arg.rfind("--workers=", 0) == 0)
-            serve_workers = cli::parseU32("workers", arg.substr(10), 1);
-        else if (arg.rfind("--min-job-ms=", 0) == 0)
-            serve_job_ms = cli::parseU64("min-job-ms", arg.substr(13));
-    }
-    if (!serve_socket.empty())
-        serveMain(serve_socket, serve_workers, serve_job_ms);
-
     Options opt;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -547,7 +454,6 @@ main(int argc, char **argv)
             usageAndExit();
         }
     }
-    g_self = argv[0];
     std::signal(SIGPIPE, SIG_IGN);
 
     char dir_template[] = "/tmp/hdrd_abl12.XXXXXX";
@@ -558,7 +464,7 @@ main(int argc, char **argv)
 
     std::printf("=== ABL-12: fleet failover sweep (abl12_fleet) "
                 "===\n\n");
-    const auto traces = recordTraces(opt, dir);
+    const auto traces = recordTraces(opt);
     std::printf("payloads: %zu traces x %u passes, %llu ms job "
                 "floor, %u workers/daemon\n\n",
                 traces.size(), opt.repeat,

@@ -51,8 +51,6 @@
 #include "service/client.hh"
 #include "service/protocol.hh"
 #include "service/server.hh"
-#include "trace/trace_io.hh"
-#include "trace/trace_program.hh"
 
 using namespace hdrd;
 
@@ -150,7 +148,10 @@ fail(const std::string &what)
     std::exit(1);
 }
 
-/** Record the chosen workload at @p scale into @p path. */
+/**
+ * Record the chosen workload at @p scale into the file @p path: the
+ * RSS comparison needs the image never to be in this process's memory.
+ */
 std::uint64_t
 recordTrace(const Options &opt, double scale,
             const std::string &path)
@@ -158,23 +159,15 @@ recordTrace(const Options &opt, double scale,
     workloads::WorkloadParams params;
     params.nthreads = opt.threads;
     params.scale = scale;
-    for (const auto &info : workloads::allWorkloads()) {
-        if (info.name != opt.workload)
-            continue;
-        auto program = info.factory(params);
-        trace::TraceWriter writer(path, program->name(),
-                                  program->numThreads());
-        if (!writer.ok())
-            fail("cannot open trace file " + path);
-        trace::RecordingProgram recording(*program, writer);
-        runtime::SimConfig config;
-        config.mode = instr::ToolMode::kNative;
-        runtime::Simulator::runWith(recording, config);
-        if (!writer.finalize())
-            fail("trace write failed");
-        return writer.recorded();
-    }
-    fail("workload not in registry: " + opt.workload);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out)
+        fail("cannot open trace file " + path);
+    const std::uint64_t ops =
+        bench::recordTrace(opt.workload, params, out);
+    out.close();
+    if (!out)
+        fail("trace write failed: " + path);
+    return ops;
 }
 
 std::uint64_t

@@ -183,12 +183,12 @@ main(int argc, char **argv)
     params.injected_races = 4;
     params.race_repeats = 150;
 
-    std::printf("%zu workloads, %u injected races x %u repeats each "
+    std::printf("%zu workloads, %u injected races x %llu repeats each "
                 "where supported;\nrecall = injected races found, "
                 "overhead = simulated cycles vs native,\n(fs) = "
                 "failsafe escalation ladder armed\n",
                 subjects.size(), params.injected_races,
-                params.race_repeats);
+                static_cast<unsigned long long>(params.race_repeats));
 
     // Native baselines, one per workload (faults never touch native
     // runs; this is the denominator for every overhead column).

@@ -18,12 +18,15 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "common/cli.hh"
+#include "common/logging.hh"
 #include "instr/cost_model.hh"
 #include "runtime/simulator.hh"
+#include "trace/trace_program.hh"
 #include "workloads/registry.hh"
 
 namespace hdrd::bench
@@ -97,6 +100,31 @@ runMode(const workloads::WorkloadInfo &info,
     config.mode = mode;
     auto program = info.factory(params);
     return runtime::Simulator::runWith(*program, config);
+}
+
+/**
+ * Record registry workload @p name natively as a TRC2 image into
+ * @p out (a string stream, or a file when the image must never sit
+ * in memory). Exits on an unknown workload or a failed write.
+ * @return recorded operations
+ */
+inline std::uint64_t
+recordTrace(const std::string &name,
+            const workloads::WorkloadParams &params, std::ostream &out)
+{
+    const workloads::WorkloadInfo *info = workloads::findWorkload(name);
+    if (info == nullptr)
+        fatal("workload not in registry: ", name);
+    auto program = info->factory(params);
+    trace::TraceWriter writer(out, program->name(),
+                              program->numThreads());
+    trace::RecordingProgram recording(*program, writer);
+    runtime::SimConfig config;
+    config.mode = instr::ToolMode::kNative;
+    runtime::Simulator::runWith(recording, config);
+    if (!writer.finalize())
+        fatal("trace write failed for ", name);
+    return writer.recorded();
 }
 
 /** Geometric mean of a non-empty vector. */

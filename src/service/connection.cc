@@ -393,15 +393,13 @@ Connection::handleJobPrefix()
 Connection::Step
 Connection::handleTrace()
 {
-    // The ingest decodes only as far as this trace's bytes are
-    // buffered — the header the moment it is in (a bad trace is
-    // refused before one record byte is buffered), then whole
-    // records as they arrive — so it never reads past the trace.
-    const auto available = [this] {
-        return std::min<std::uint64_t>(rx_.size(), traceLeft());
-    };
+    // The ingest decodes whatever of this trace is buffered — the
+    // header the moment it is in (a bad trace is refused before one
+    // record byte is buffered), then records as they arrive. Its
+    // reader knows the trace length, so it never reads past the trace
+    // into a pipelined frame behind it.
     if (!ingest_->headerReady()) {
-        if (!ingest_->readHeader(available()))
+        if (!ingest_->readHeader())
             return ingest_->failed() ? rejectTrace() : Step::kBlocked;
         building_.assign(ingest_->job().nthreads, {});
     }
@@ -409,8 +407,7 @@ Connection::handleTrace()
         [this](const trace::TraceRecord *records, std::size_t n) {
             for (std::size_t i = 0; i < n; ++i)
                 building_[records[i].tid].push_back(records[i].toOp());
-        },
-        available());
+        });
     if (!ok)
         return rejectTrace();
     if (!ingest_->done())

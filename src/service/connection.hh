@@ -9,7 +9,9 @@
  * into the incremental trace::TraceReader in chunks — the TRC2
  * header is validated as soon as its bytes are in, records are
  * decoded batch-by-batch as they arrive, and the daemon never holds
- * a complete trace image in a socket buffer.
+ * a complete trace image in a socket buffer. The reader knows the
+ * body's length from the frame, so it stops at the trace's last byte
+ * even when the next pipelined frame is already buffered behind it.
  *
  * Writes are asymmetric: responses go to an outbound queue flushed
  * opportunistically and on EPOLLOUT, so a slow or stalled reader can
@@ -230,7 +232,10 @@ class Connection
     JobOptions options_{};
     std::size_t prefix_need_ = 0;
 
-    /** Trace-streaming fields (the ingest reads straight off rx_). */
+    /**
+     * Trace-streaming fields (the ingest reads straight off rx_, and
+     * never more than trace_total_ bytes of it).
+     */
     std::optional<JobIngest> ingest_;
     std::uint64_t trace_total_ = 0;
     std::uint64_t trace_start_ = 0;

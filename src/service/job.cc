@@ -1,6 +1,5 @@
 #include "service/job.hh"
 
-#include <algorithm>
 #include <chrono>
 
 #include "service/report_json.hh"
@@ -51,25 +50,20 @@ Job::reportJson(const runtime::RunResult &result,
 JobIngest::JobIngest(trace::ByteSource &source,
                      std::uint64_t total_bytes,
                      const JobOptions &options)
-    : reader_(source, total_bytes), total_bytes_(total_bytes)
+    : reader_(source, total_bytes)
 {
     job_.options = options;
 }
 
 bool
-JobIngest::readHeader(std::uint64_t available)
+JobIngest::readHeader()
 {
     if (header_ready_ || failed())
         return header_ready_;
-    // A known-length reader takes a dry source for truncation: wait
-    // for the whole header (or the whole, shorter, body).
-    if (available < std::min<std::uint64_t>(
-            total_bytes_, sizeof(trace::TraceHeader)))
-        return false;
     if (!reader_.readHeader()) {
         if (!reader_.error().empty())
             error_ = "trace rejected: " + reader_.error();
-        return false;  // else a streamed header is still incomplete
+        return false;  // else the header is still incomplete
     }
     job_.trace = reader_.name();
     job_.nthreads = reader_.nthreads();
@@ -91,19 +85,13 @@ JobIngest::readHeader(std::uint64_t available)
 }
 
 bool
-JobIngest::decode(const RecordSink &sink, std::uint64_t available)
+JobIngest::decode(const RecordSink &sink)
 {
     if (!header_ready_ || failed())
         return !failed();
     trace::TraceRecord batch[kBatch];
     while (!reader_.done()) {
-        // Whole buffered records only; a streamed reader (available
-        // unbounded) stashes a partial one itself.
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(
-                kBatch, available / sizeof(trace::TraceRecord)));
-        const std::size_t got =
-            want == 0 ? 0 : reader_.next(batch, want);
+        const std::size_t got = reader_.next(batch, kBatch);
         if (got > 0)
             sink(batch, got);
         if (!reader_.error().empty()) {
@@ -112,7 +100,6 @@ JobIngest::decode(const RecordSink &sink, std::uint64_t available)
         }
         if (got == 0)
             break;  // the next record's bytes are not in yet
-        available -= got * sizeof(trace::TraceRecord);
     }
     return true;
 }

@@ -54,10 +54,10 @@ struct Job
 /**
  * Incremental decoder of one job's TRC2 body: validates the header
  * (and resolves the job's fault spec) as soon as its bytes are in,
- * then hands whole records to a sink batch by batch. A body of known
- * length is decoded only as far as the caller says bytes are buffered
- * (its reader takes a dry source for truncation); a streamed body
- * (TraceReader::kUnknownSize) stalls and resumes on its own.
+ * then hands whole records to a sink batch by batch. A dry source is
+ * a stall, resumed by the next call, until endOfStream(). A body of
+ * known length is checked against its header and decoded to exactly
+ * that length, so the source may also hold the bytes that follow it.
  */
 class JobIngest
 {
@@ -65,9 +65,10 @@ class JobIngest
     using RecordSink =
         std::function<void(const trace::TraceRecord *, std::size_t)>;
 
-    /** "Whatever the source holds" (streamed bodies). */
-    static constexpr std::uint64_t kAll = ~0ull;
-
+    /**
+     * @param total_bytes body length, or TraceReader::kUnknownSize
+     *        for a streamed body
+     */
     JobIngest(trace::ByteSource &source, std::uint64_t total_bytes,
               const JobOptions &options);
 
@@ -75,12 +76,15 @@ class JobIngest
      * @return true once the header is accepted (job() is valid);
      *         false while starved or once failed().
      */
-    bool readHeader(std::uint64_t available = kAll);
+    bool readHeader();
 
-    /** @return false once the trace is refused (see error()). */
-    bool decode(const RecordSink &sink, std::uint64_t available = kAll);
+    /**
+     * Decode every whole record the source holds.
+     * @return false once the trace is refused (see error()).
+     */
+    bool decode(const RecordSink &sink);
 
-    /** Streamed body: no further bytes will arrive. */
+    /** No further bytes will arrive. */
     void endOfStream() { reader_.endOfStream(); }
 
     /** Every declared record was decoded. */
@@ -94,7 +98,6 @@ class JobIngest
 
   private:
     trace::TraceReader reader_;
-    std::uint64_t total_bytes_;
     bool header_ready_ = false;
     std::string error_;
     Job job_;

@@ -40,6 +40,9 @@ struct TraceHeaderV1
     /** Thread count of the recorded program. */
     std::uint32_t nthreads = 0;
 
+    /** Alignment padding, spelled out so images carry no junk. */
+    std::uint32_t reserved = 0;
+
     /** Total records that follow. */
     std::uint64_t record_count = 0;
 
@@ -61,6 +64,9 @@ struct TraceHeader
 
     /** Thread count of the recorded program. */
     std::uint32_t nthreads = 0;
+
+    /** Alignment padding, spelled out so images carry no junk. */
+    std::uint32_t reserved = 0;
 
     /** Total records that follow. */
     std::uint64_t record_count = 0;

@@ -14,10 +14,26 @@ TraceWriter::TraceWriter(const std::string &path,
                          const std::string &name,
                          std::uint32_t nthreads,
                          const std::string &fault_spec)
-    : out_(path, std::ios::binary | std::ios::trunc)
+    : file_(path, std::ios::binary | std::ios::trunc), out_(file_)
+{
+    begin(name, nthreads, fault_spec);
+}
+
+TraceWriter::TraceWriter(std::ostream &out, const std::string &name,
+                         std::uint32_t nthreads,
+                         const std::string &fault_spec)
+    : out_(out)
+{
+    begin(name, nthreads, fault_spec);
+}
+
+void
+TraceWriter::begin(const std::string &name, std::uint32_t nthreads,
+                   const std::string &fault_spec)
 {
     if (!out_)
         return;
+    start_ = out_.tellp();
     header_.nthreads = nthreads;
     const std::size_t n =
         std::min(name.size(), header_.name.size() - 1);
@@ -62,10 +78,13 @@ TraceWriter::finalize()
         return false;
     finalized_ = true;
     header_.record_count = count_;
-    out_.seekp(0);
+    const std::streampos end = out_.tellp();
+    out_.seekp(start_);
     out_.write(reinterpret_cast<const char *>(&header_),
                sizeof(header_));
-    out_.close();
+    out_.seekp(end);
+    if (file_.is_open())
+        file_.close();
     return static_cast<bool>(out_);
 }
 
@@ -102,22 +121,8 @@ ByteQueue::read(char *dst, std::size_t n)
 
 TraceReader::TraceReader(ByteSource &source,
                          std::uint64_t total_bytes)
-    : source_(source), total_bytes_(total_bytes),
-      streaming_(total_bytes == kUnknownSize)
+    : source_(source), total_bytes_(total_bytes)
 {
-}
-
-bool
-TraceReader::readExact(char *dst, std::size_t n)
-{
-    std::size_t have = 0;
-    while (have < n) {
-        const std::size_t got = source_.read(dst + have, n - have);
-        if (got == 0)
-            return false;
-        have += got;
-    }
-    return true;
 }
 
 bool
@@ -139,7 +144,9 @@ TraceReader::readHeader()
 {
     if (header_ok_ || !error_.empty())
         return header_ok_;
-    if (!streaming_ && total_bytes_ < sizeof(TraceHeaderV1)) {
+    // kUnknownSize is the largest total, so it passes both size
+    // floors below unchecked.
+    if (total_bytes_ < sizeof(TraceHeaderV1)) {
         error_ = "truncated header ("
             + std::to_string(total_bytes_) + " bytes, need "
             + std::to_string(sizeof(TraceHeaderV1)) + ")";
@@ -148,10 +155,10 @@ TraceReader::readHeader()
 
     // Both header versions share the v1 prefix; the magic decides
     // whether the v2 metadata tail follows. The stash carries a
-    // partial header across streaming stalls, so a chunk boundary
-    // anywhere inside it — including the first byte — resumes.
+    // partial header across stalls, so a chunk boundary anywhere
+    // inside it — including the first byte — resumes.
     if (!fillStash(sizeof(TraceHeaderV1))) {
-        if (streaming_ && !ended_)
+        if (!ended_)
             return false; // stalled: retry after more bytes arrive
         error_ = "truncated header";
         return false;
@@ -160,14 +167,14 @@ TraceReader::readHeader()
     std::memcpy(reinterpret_cast<char *>(&header), stash_.data(),
                 sizeof(TraceHeaderV1));
     if (header.magic == kMagic) {
-        if (!streaming_ && total_bytes_ < sizeof(TraceHeader)) {
+        if (total_bytes_ < sizeof(TraceHeader)) {
             error_ = "truncated v2 header ("
                 + std::to_string(total_bytes_) + " bytes, need "
                 + std::to_string(sizeof(TraceHeader)) + ")";
             return false;
         }
         if (!fillStash(sizeof(TraceHeader))) {
-            if (streaming_ && !ended_)
+            if (!ended_)
                 return false;
             error_ = "truncated v2 header";
             return false;
@@ -188,11 +195,10 @@ TraceReader::readHeader()
         return false;
     }
 
-    // The size-consistency checks need the total up front; in
-    // streaming mode a short stream surfaces as truncation at the
-    // missing record instead, and trailing bytes are the feeding
-    // layer's to reject.
-    if (!streaming_) {
+    // The size-consistency checks need the total up front; without
+    // it a short stream surfaces as truncation at the missing record,
+    // and trailing bytes are the feeding layer's to reject.
+    if (total_bytes_ != kUnknownSize) {
         const std::uint64_t payload = total_bytes_ - header_size;
         const std::uint64_t expected =
             header.record_count * sizeof(TraceRecord);
@@ -237,36 +243,27 @@ TraceReader::next(TraceRecord *out, std::size_t max)
         std::min<std::uint64_t>(max, left));
     std::size_t produced = 0;
     for (; produced < want; ++produced) {
-        TraceRecord &record = out[produced];
-        if (streaming_) {
-            if (!fillStash(sizeof(record))) {
-                if (!ended_)
-                    return produced; // stalled mid-record: resume
+        if (!fillStash(sizeof(TraceRecord))) {
+            if (ended_)
                 error_ = "truncated at record "
                     + std::to_string(consumed_) + " of "
                     + std::to_string(record_count_);
-                return produced;
-            }
-            std::memcpy(&record, stash_.data(), sizeof(record));
-            stash_len_ = 0;
-        } else if (!readExact(reinterpret_cast<char *>(&record),
-                              sizeof(record))) {
-            error_ = "truncated at record "
-                + std::to_string(consumed_) + " of "
-                + std::to_string(record_count_);
-            return 0;
+            return produced; // else stalled mid-record: resume
         }
+        TraceRecord &record = out[produced];
+        std::memcpy(&record, stash_.data(), sizeof(record));
+        stash_len_ = 0;
         if (record.tid >= nthreads_) {
             error_ = "record " + std::to_string(consumed_)
                 + " names unknown thread "
                 + std::to_string(record.tid);
-            return streaming_ ? produced : 0;
+            return produced;
         }
         if (record.type > kMaxOpType) {
             error_ = "record " + std::to_string(consumed_)
                 + " has invalid op type "
                 + std::to_string(record.type);
-            return streaming_ ? produced : 0;
+            return produced;
         }
         ++consumed_;
     }
@@ -291,6 +288,7 @@ TraceData::load(const std::string &path)
 
     IstreamSource source(in);
     TraceReader reader(source, file_size);
+    reader.endOfStream();
     if (!reader.readHeader()) {
         data.error_ = reader.error();
         return data;
@@ -308,6 +306,7 @@ TraceData::fromReader(TraceReader &reader)
     data.fault_spec_ = reader.faultSpec();
     data.per_thread_.resize(reader.nthreads());
 
+    reader.endOfStream();
     TraceRecord batch[4096];
     for (;;) {
         const std::size_t n = reader.next(batch, std::size(batch));
@@ -343,7 +342,17 @@ TraceData::fromOps(std::string name,
 bool
 TraceData::save(const std::string &path) const
 {
-    TraceWriter writer(path, name_, nthreads(), fault_spec_);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out || !save(out))
+        return false;
+    out.close();
+    return static_cast<bool>(out);
+}
+
+bool
+TraceData::save(std::ostream &out) const
+{
+    TraceWriter writer(out, name_, nthreads(), fault_spec_);
     if (!writer.ok())
         return false;
     for (ThreadId tid = 0; tid < nthreads(); ++tid) {

@@ -2,11 +2,11 @@
  * @file
  * Trace writing and reading.
  *
- * TraceWriter streams records to a file (header patched on
- * finalize); TraceReader incrementally parses and validates a trace
- * from any byte source (header first, then record batches), so
- * consumers can reject a bad trace before buffering its body;
- * TraceData loads and validates a whole trace into memory,
+ * TraceWriter encodes records into a file or a caller's stream
+ * (header patched on finalize); TraceReader incrementally parses and
+ * validates a trace from any byte source (header first, then record
+ * batches), so consumers can reject a bad trace before buffering its
+ * body; TraceData loads and validates a whole trace into memory,
  * partitioned per thread for replay.
  */
 
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <fstream>
 #include <istream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,10 @@ namespace hdrd::trace
 {
 
 /**
- * Streams operation records into a trace file.
+ * Encodes operation records as a TRC2 image: the one encoder behind
+ * trace files and in-memory images alike. The header is reserved up
+ * front and patched with the record count by finalize(), so the sink
+ * must be seekable (a file or a string stream).
  */
 class TraceWriter
 {
@@ -42,21 +46,31 @@ class TraceWriter
                 std::uint32_t nthreads,
                 const std::string &fault_spec = "none");
 
+    /**
+     * Encode into the caller-owned @p out, starting at its current
+     * put position; finalize() leaves it positioned after the last
+     * record. Parameters as for the path form.
+     */
+    TraceWriter(std::ostream &out, const std::string &name,
+                std::uint32_t nthreads,
+                const std::string &fault_spec = "none");
+
     ~TraceWriter();
 
     TraceWriter(const TraceWriter &) = delete;
     TraceWriter &operator=(const TraceWriter &) = delete;
 
-    /** True when the file opened successfully. */
+    /** True when the sink opened and took the header. */
     bool ok() const { return ok_; }
 
     /** Append one operation. */
     void record(ThreadId tid, const runtime::Op &op);
 
     /**
-     * Patch the header with the final count and close the file.
+     * Patch the header with the final count (and close the file of
+     * the path form).
      * @return false when any write (including earlier record()
-     *         calls) failed; the file should then be discarded.
+     *         calls) failed; the image should then be discarded.
      */
     bool finalize();
 
@@ -64,7 +78,14 @@ class TraceWriter
     std::uint64_t recorded() const { return count_; }
 
   private:
-    std::ofstream out_;
+    /** Fill in and reserve the header at the sink's put position. */
+    void begin(const std::string &name, std::uint32_t nthreads,
+               const std::string &fault_spec);
+
+    /** The path form's own sink; unused by the stream form. */
+    std::ofstream file_;
+    std::ostream &out_;
+    std::streampos start_;
     TraceHeader header_;
     std::uint64_t count_ = 0;
     bool ok_ = false;
@@ -85,8 +106,9 @@ class ByteSource
 
     /**
      * Read up to @p n bytes into @p dst.
-     * @return bytes actually read; 0 means end-of-stream or a read
-     *         error (the reader treats both as truncation).
+     * @return bytes actually read; 0 when none are available (the
+     *         reader takes that for a stall until endOfStream(),
+     *         then for truncation).
      */
     virtual std::size_t read(char *dst, std::size_t n) = 0;
 };
@@ -148,67 +170,69 @@ class ByteQueue : public ByteSource
 };
 
 /**
- * Incremental, validating trace parser.
+ * Incremental, validating, resumable trace parser: the one decoder of
+ * TRC2 bytes, whether they come from a file, a buffered upload or a
+ * stream.
  *
- * Usage: construct over a ByteSource whose total trace size is known
- * (file size, or a framed payload length for network streams), call
- * readHeader() — all header-level validation happens here, before a
- * single record byte is consumed — then pull record batches with
- * next() until done(). Any validation failure (bad magic, implausible
- * header, mid-stream truncation, invalid record) poisons the reader
- * with a precise error(); a poisoned reader never yields records.
+ * Usage: construct over a ByteSource, call readHeader() — all
+ * header-level validation happens here, before a single record byte
+ * is consumed — then pull record batches with next() until done().
+ * Any validation failure (bad magic, implausible header, truncation,
+ * invalid record) poisons the reader with a precise error(); a
+ * poisoned reader yields no further records.
  *
- * **Streaming mode** (total size unknown up front — chunked network
- * ingestion): construct with kUnknownSize. The source returning 0
- * then means "no bytes available right now", not truncation: the
- * reader stashes any partial header/record — including a chunk
- * boundary that splits a record at its very first byte — and
- * readHeader()/next() return false/0 with an *empty* error(), to be
- * retried once the caller has fed the source more bytes. Call
- * endOfStream() when the producer is done; after that a short read is
- * a truncation error again, and done() requires every declared record
- * to have arrived. Size-vs-header consistency checks that need the
- * total up front are deferred: a short stream surfaces as truncation
- * at the missing record, trailing garbage is the caller's to detect
- * (bytes left in its buffer after done()).
+ * One rule governs a short read: a source that runs dry is a stall
+ * until endOfStream() is declared, and a truncation after. On a stall
+ * the reader stashes the partial header or record (a cut may fall at
+ * any byte, a record's first included), and readHeader()/next()
+ * return false/0 with an empty error() — starved() — to be retried
+ * once the source holds more bytes.
  *
- * TraceData::load() is a thin wrapper; hdrd_served uses the reader
- * directly so a bad trace is rejected from its header without
- * buffering the (possibly huge) body.
+ * A known total size (file size, framed payload length) only adds the
+ * header-vs-size checks: a body too short for its declared record
+ * count, or one with trailing bytes, is refused at the header. With
+ * kUnknownSize a short stream surfaces as truncation at the missing
+ * record instead, and trailing bytes are the caller's to detect.
+ * Either way the reader pulls exactly the header and the declared
+ * records, never a byte past them, so the source may already hold
+ * whatever follows the trace (the next pipelined frame).
+ *
+ * TraceData::load() and fromReader() declare the end themselves;
+ * hdrd_served uses the reader directly so a bad trace is rejected
+ * from its header without buffering the (possibly huge) body.
  */
 class TraceReader
 {
   public:
-    /** total_bytes sentinel selecting streaming mode. */
+    /** total_bytes of a trace whose length is not declared. */
     static constexpr std::uint64_t kUnknownSize = ~0ull;
 
     /**
      * @param source byte stream positioned at the first header byte
      * @param total_bytes declared total size of the trace in bytes,
-     *        or kUnknownSize for resumable streaming mode
+     *        or kUnknownSize
      */
     TraceReader(ByteSource &source, std::uint64_t total_bytes);
 
     /**
      * Parse and validate the header.
-     * @return false when the header is invalid (see error()), or —
-     *         streaming mode only — when it is still incomplete
-     *         (error() empty: retry after feeding the source).
+     * @return false when the header is invalid (see error()) or
+     *         still incomplete (error() empty: retry after feeding
+     *         the source).
      */
     bool readHeader();
 
     /**
      * Read and validate up to @p max records into @p out.
-     * @return records produced; 0 when the stream is exhausted or
-     *         the reader is poisoned (check error()/done()), or —
-     *         streaming mode only — when the next record is still
-     *         incomplete (error() empty, not done(): feed and retry).
+     * @return records produced, which stops short at the first
+     *         incomplete or invalid record; 0 once done(), poisoned
+     *         (see error()) or starved (feed the source and retry).
      */
     std::size_t next(TraceRecord *out, std::size_t max);
 
     /**
-     * Streaming mode: declare that no further bytes will arrive.
-     * An incomplete header or record after this poisons the reader
+     * Declare that the source holds every byte it ever will. An
+     * incomplete header or record after this poisons the reader
      * with a truncation error on the next readHeader()/next() call.
      */
     void endOfStream() { ended_ = true; }
@@ -221,12 +245,12 @@ class TraceReader
     }
 
     /**
-     * Streaming mode: true while the reader is healthy but blocked
-     * on more input (the retry condition described above).
+     * True while the reader is healthy but blocked on more input
+     * (the retry condition described above).
      */
     bool starved() const
     {
-        return streaming_ && error_.empty() && !done() && !ended_;
+        return error_.empty() && !done() && !ended_;
     }
 
     /** Why parsing failed (empty while healthy). */
@@ -242,11 +266,8 @@ class TraceReader
     std::uint64_t recordCount() const { return record_count_; }
 
   private:
-    /** Read exactly @p n bytes; false on short read. */
-    bool readExact(char *dst, std::size_t n);
-
     /**
-     * Streaming mode: accumulate until the stash holds @p n bytes.
+     * Accumulate until the stash holds @p n bytes.
      * @return true when the stash is full; false when the source ran
      *         dry first (a resumable stall, unless endOfStream()).
      */
@@ -261,9 +282,8 @@ class TraceReader
     std::uint64_t record_count_ = 0;
     std::uint64_t consumed_ = 0;
     bool header_ok_ = false;
-    bool streaming_ = false;
     bool ended_ = false;
-    /** Partial header/record carried across streaming stalls. */
+    /** Partial header/record carried across stalls. */
     std::array<char, sizeof(TraceHeader)> stash_{};
     std::size_t stash_len_ = 0;
 };
@@ -293,14 +313,18 @@ class TraceData
 
     /**
      * Drain @p reader (whose readHeader() must already have
-     * succeeded) into a loaded trace. On any mid-stream failure the
-     * result is empty with the reader's error — never a partial
-     * trace.
+     * succeeded) into a loaded trace. Its source must already hold
+     * the whole trace: this declares endOfStream(). On any
+     * mid-stream failure the result is empty with the reader's
+     * error — never a partial trace.
      */
     static TraceData fromReader(TraceReader &reader);
 
     /** Write this trace to @p path. @return false on I/O failure. */
     bool save(const std::string &path) const;
+
+    /** Encode this trace into @p out (seekable; see TraceWriter). */
+    bool save(std::ostream &out) const;
 
     /** True when the load succeeded. */
     bool ok() const { return error_.empty(); }

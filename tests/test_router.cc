@@ -52,15 +52,10 @@ tinyTrace()
 }
 
 std::string
-traceBytes(const trace::TraceData &data, const char *tag)
+traceBytes(const trace::TraceData &data)
 {
-    const std::string path = std::string(::testing::TempDir())
-        + "hdrd_router_" + tag + ".trc";
-    EXPECT_TRUE(data.save(path));
-    std::ifstream in(path, std::ios::binary);
     std::ostringstream os;
-    os << in.rdbuf();
-    std::remove(path.c_str());
+    EXPECT_TRUE(data.save(os));
     return os.str();
 }
 
@@ -479,7 +474,7 @@ TEST(RouterLive, BatchFailsOverWhenADaemonDies)
     ASSERT_TRUE(server_a->start(err)) << err;
     ASSERT_TRUE(server_b->start(err)) << err;
 
-    const std::string image = traceBytes(tinyTrace(), "live");
+    const std::string image = traceBytes(tinyTrace());
     JobOptions options;
     options.flags = kJobOmitHostTiming;
 

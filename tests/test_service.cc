@@ -458,15 +458,10 @@ namespace
 {
 
 std::string
-traceBytes(const trace::TraceData &data, const char *tag)
+traceBytes(const trace::TraceData &data)
 {
-    const std::string path = std::string(::testing::TempDir())
-        + "hdrd_svc_" + tag + ".trc";
-    EXPECT_TRUE(data.save(path));
-    std::ifstream in(path, std::ios::binary);
     std::ostringstream os;
-    os << in.rdbuf();
-    std::remove(path.c_str());
+    EXPECT_TRUE(data.save(os));
     return os.str();
 }
 
@@ -483,7 +478,7 @@ TEST(ServerEndToEnd, SubmitStatsPingAndRejects)
     std::string err;
     ASSERT_TRUE(server.start(err)) << err;
 
-    const std::string image = traceBytes(tinyTrace(), "e2e");
+    const std::string image = traceBytes(tinyTrace());
 
     Client client;
     ASSERT_TRUE(client.connectUnix(
@@ -553,7 +548,7 @@ TEST(ServerEndToEnd, ConcurrentClientsGetConsistentReports)
     std::string err;
     ASSERT_TRUE(server.start(err)) << err;
 
-    const std::string image = traceBytes(tinyTrace(), "conc");
+    const std::string image = traceBytes(tinyTrace());
     const std::string path = std::string(::testing::TempDir())
         + "hdrd_svc_conc.sock";
 

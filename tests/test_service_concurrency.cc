@@ -14,7 +14,6 @@
 #include <csignal>
 #include <cstring>
 #include <dirent.h>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -63,13 +62,8 @@ traceImage(const std::string &name, int salt)
     }
     const trace::TraceData data =
         trace::TraceData::fromOps(name, std::move(per_thread));
-    const std::string path = std::string(::testing::TempDir())
-        + "hdrd_conc_" + name + ".trc";
-    EXPECT_TRUE(data.save(path));
-    std::ifstream in(path, std::ios::binary);
     std::ostringstream os;
-    os << in.rdbuf();
-    std::remove(path.c_str());
+    EXPECT_TRUE(data.save(os));
     return os.str();
 }
 

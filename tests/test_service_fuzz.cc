@@ -12,7 +12,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -59,13 +58,8 @@ tinyImage()
     }
     const trace::TraceData data =
         trace::TraceData::fromOps("fuzz", std::move(per_thread));
-    const std::string path =
-        std::string(::testing::TempDir()) + "hdrd_fuzz.trc";
-    EXPECT_TRUE(data.save(path));
-    std::ifstream in(path, std::ios::binary);
     std::ostringstream os;
-    os << in.rdbuf();
-    std::remove(path.c_str());
+    EXPECT_TRUE(data.save(os));
     return os.str();
 }
 

@@ -16,7 +16,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <fstream>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -63,15 +62,10 @@ racyTrace(int iterations)
 
 /** Serialized TRC2 image of @p data. */
 std::string
-traceImage(const trace::TraceData &data, const char *tag)
+traceImage(const trace::TraceData &data)
 {
-    const std::string path = std::string(::testing::TempDir())
-        + "hdrd_stream_" + tag + ".trc";
-    EXPECT_TRUE(data.save(path));
-    std::ifstream in(path, std::ios::binary);
     std::ostringstream os;
-    os << in.rdbuf();
-    std::remove(path.c_str());
+    EXPECT_TRUE(data.save(os));
     return os.str();
 }
 
@@ -186,7 +180,7 @@ awaitGauge(Client &client, const char *name, std::int64_t want)
 
 TEST(StreamSession, FinalReportIndependentOfChunking)
 {
-    const std::string image = traceImage(racyTrace(400), "chunking");
+    const std::string image = traceImage(racyTrace(400));
 
     // One big feed, tiny feeds, and a credit-limited window: all
     // three must produce byte-identical final reports.
@@ -211,7 +205,7 @@ TEST(StreamSession, FinalReportIndependentOfChunking)
 
 TEST(StreamSession, PartialsAreByteStableAndMonotone)
 {
-    const std::string image = traceImage(racyTrace(400), "partials");
+    const std::string image = traceImage(racyTrace(400));
 
     Capture first, second;
     runStreamed(image, image.size() + 1024, 100, 512, first);
@@ -248,7 +242,7 @@ TEST(StreamSession, PartialsAreByteStableAndMonotone)
 
 TEST(StreamSession, CreditOverrunIsAProtocolViolation)
 {
-    const std::string image = traceImage(racyTrace(400), "overrun");
+    const std::string image = traceImage(racyTrace(400));
     ASSERT_GT(image.size(), 2 * 4096u + 1);
 
     Capture capture;
@@ -268,7 +262,7 @@ TEST(StreamSession, SkewedTraceCompletesViaEmergencyCredit)
     // so with a credit window smaller than thread 0's block, the
     // engine starves on thread 1 while the window is exhausted. The
     // session must escape with emergency grants, not deadlock.
-    const std::string image = traceImage(racyTrace(400), "skew");
+    const std::string image = traceImage(racyTrace(400));
 
     service::Metrics metrics;
     Capture capture;
@@ -284,7 +278,7 @@ TEST(StreamSession, SkewedTraceCompletesViaEmergencyCredit)
 
 TEST(StreamSession, DataAfterEndRejected)
 {
-    const std::string image = traceImage(racyTrace(50), "afterend");
+    const std::string image = traceImage(racyTrace(50));
     Capture capture;
     stream::StreamSession session(
         sessionConfig(image.size() + 1024, 0),
@@ -301,7 +295,7 @@ TEST(StreamSession, DataAfterEndRejected)
 
 TEST(StreamSession, TruncatedStreamReportsError)
 {
-    const std::string image = traceImage(racyTrace(50), "trunc");
+    const std::string image = traceImage(racyTrace(50));
     Capture capture;
     stream::StreamSession session(
         sessionConfig(image.size() + 1024, 0),
@@ -322,7 +316,7 @@ TEST(StreamSession, TruncatedStreamReportsError)
 
 TEST(StreamSession, AbortUnwindsAndReportsOnce)
 {
-    const std::string image = traceImage(racyTrace(400), "abort");
+    const std::string image = traceImage(racyTrace(400));
     Capture capture;
     stream::StreamSession session(
         sessionConfig(image.size() + 1024, 0),
@@ -408,7 +402,7 @@ rawConnect(const std::string &path)
 TEST(ServerStream, StreamedFinalMatchesBufferedByteForByte)
 {
     TestServer ts("e2e");
-    const std::string image = traceImage(racyTrace(400), "e2e");
+    const std::string image = traceImage(racyTrace(400));
 
     JobOptions options;
     options.flags = kJobOmitHostTiming;
@@ -445,7 +439,7 @@ TEST(ServerStream, StreamedFinalMatchesBufferedByteForByte)
 TEST(ServerStream, FollowerTailsPartialsAndFinal)
 {
     TestServer ts("follow");
-    const std::string image = traceImage(racyTrace(2000), "follow");
+    const std::string image = traceImage(racyTrace(2000));
 
     // The source stalls after the first chunk until released, giving
     // the follower a deterministic window to attach.
@@ -528,7 +522,7 @@ TEST(ServerStream, FollowUnknownSessionIsRefused)
 TEST(ServerStream, StreamLimitAnswersBusy)
 {
     TestServer ts("limit", /*max_streams=*/1);
-    const std::string image = traceImage(racyTrace(50), "limit");
+    const std::string image = traceImage(racyTrace(50));
 
     // Occupy the only slot with a raw half-open session.
     const int fd = rawConnect(ts.path);
@@ -556,7 +550,7 @@ TEST(ServerStream, StreamLimitAnswersBusy)
 TEST(ServerStream, ClientKillMidStreamLeaksNothing)
 {
     TestServer ts("kill");
-    const std::string image = traceImage(racyTrace(400), "kill");
+    const std::string image = traceImage(racyTrace(400));
 
     // Open a stream, push a partial prefix, then vanish without
     // SUBMIT_END — a client crash. The connection teardown must
@@ -614,7 +608,7 @@ TEST(ServerStream, PoisonTracesEndTheJobNotTheDaemon)
 
     // The golden report of a good trace, computed in-process.
     const trace::TraceData good = racyTrace(100);
-    const std::string good_image = traceImage(good, "poison_good");
+    const std::string good_image = traceImage(good);
     trace::TraceProgram good_program(good);
     runtime::SimConfig config;
     config.mode = static_cast<instr::ToolMode>(options.mode);
@@ -633,8 +627,7 @@ TEST(ServerStream, PoisonTracesEndTheJobNotTheDaemon)
     for (const Poison &poison : poisons) {
         SCOPED_TRACE(poison.name);
         const std::string image = traceImage(
-            trace::TraceData::fromOps(poison.name, poison.ops),
-            poison.name);
+            trace::TraceData::fromOps(poison.name, poison.ops));
         const auto expectError = [&](const Response &r) {
             ASSERT_TRUE(r.transport_ok);
             EXPECT_TRUE(r.type == FrameType::kError

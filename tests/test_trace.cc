@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "instr/cost_model.hh"
@@ -75,6 +76,17 @@ mangle(const std::string &path, std::streamoff offset,
     f.seekp(offset);
     f.write(static_cast<const char *>(bytes),
             static_cast<std::streamsize>(n));
+}
+
+/** Read a whole file into a string. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.is_open());
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
 }
 
 /** Write a small valid golden trace and return its path. */
@@ -328,6 +340,14 @@ TEST(TraceIo, FromOpsSaveLoadRoundTrips)
 
     const auto path = tmpPath("fromops");
     ASSERT_TRUE(built.save(path));
+
+    // The stream form is the same encoder: a caller's stream gets the
+    // file's bytes, after whatever it already held.
+    std::ostringstream framed;
+    framed << "prefix";
+    ASSERT_TRUE(built.save(framed));
+    EXPECT_EQ(framed.str(), "prefix" + slurp(path));
+
     const TraceData loaded = TraceData::load(path);
     ASSERT_TRUE(loaded.ok()) << loaded.error();
     EXPECT_EQ(loaded.name(), "inmem");
@@ -454,17 +474,6 @@ class CutSource : public trace::ByteSource
     std::size_t pos_ = 0;
 };
 
-/** Read a whole file into a string. */
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.is_open());
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
-
 } // namespace
 
 TEST(TraceReader, ChunkedBatchesMatchWholeLoad)
@@ -527,6 +536,7 @@ TEST(TraceReader, MidStreamTruncationPoisonsWithoutPartialLoad)
     const std::size_t cut = sizeof(trace::TraceHeader) + 32 + 16;
     CutSource source(image, cut);
     TraceReader reader(source, image.size());
+    reader.endOfStream();
     ASSERT_TRUE(reader.readHeader()) << reader.error();
 
     TraceRecord batch[8];
@@ -649,6 +659,35 @@ TEST(TraceReader, ResumesAcrossEveryChunkBoundary)
                   runtime::OpType::kWork)
             << "cut=" << cut;
     }
+
+    // A known total reads the same way over a queue that also holds
+    // the next frame's bytes: at every cut the reader must finish and
+    // leave exactly those trailing bytes behind, unread.
+    const std::string next_frame = "next frame";
+    for (std::size_t cut = 1; cut < image.size(); ++cut) {
+        ByteQueue queue;
+        TraceReader reader(queue, image.size());
+        queue.append(image.data(), cut);
+
+        TraceRecord batch[8];
+        std::size_t records = 0;
+        if (reader.readHeader())
+            records += reader.next(batch, std::size(batch));
+        ASSERT_TRUE(reader.starved())
+            << "cut=" << cut << ": " << reader.error();
+
+        queue.append(image.data() + cut, image.size() - cut);
+        queue.append(next_frame.data(), next_frame.size());
+        ASSERT_TRUE(reader.readHeader())
+            << "cut=" << cut << ": " << reader.error();
+        while (const std::size_t n = reader.next(batch, std::size(batch)))
+            records += n;
+        ASSERT_TRUE(reader.done())
+            << "cut=" << cut << ": " << reader.error();
+        EXPECT_EQ(records, 3u) << "cut=" << cut;
+        EXPECT_EQ(std::string(queue.data(), queue.size()), next_frame)
+            << "cut=" << cut;
+    }
     std::remove(path.c_str());
 }
 
@@ -682,6 +721,7 @@ TEST(TraceReader, TruncatedHeaderStreamRejected)
     const std::string image = slurp(path);
     CutSource source(image, 40);  // less than one header
     TraceReader reader(source, image.size());
+    reader.endOfStream();
     EXPECT_FALSE(reader.readHeader());
     EXPECT_NE(reader.error().find("truncated header"),
               std::string::npos)
