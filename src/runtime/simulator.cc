@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/bench_json.hh"
 #include "common/logging.hh"
 #include "common/radix_table.hh"
 #include "common/rng.hh"
@@ -60,6 +61,28 @@ runStatusName(RunStatus status)
     static constexpr const char *kNames[] = {"completed", "deadlock",
                                              "sync_misuse", "cancelled"};
     return kNames[static_cast<std::size_t>(status)];
+}
+
+constexpr const char *kDetectorNames[] = {"fasttrack", "naive",
+                                          "lockset"};
+
+const char *
+detectorName(DetectorKind kind)
+{
+    const auto i = static_cast<std::size_t>(kind);
+    return i < std::size(kDetectorNames) ? kDetectorNames[i] : "unknown";
+}
+
+bool
+parseDetector(const std::string &name, DetectorKind &kind)
+{
+    for (std::size_t i = 0; i < std::size(kDetectorNames); ++i) {
+        if (name == kDetectorNames[i]) {
+            kind = static_cast<DetectorKind>(i);
+            return true;
+        }
+    }
+    return false;
 }
 
 Simulator::Simulator(const SimConfig &config) : config_(config)
@@ -878,6 +901,75 @@ run_stopped:
     return result;
 }
 
+namespace
+{
+
+// NAME, SECTION, IN_REPORT (the report's "sim" block), value of `r`.
+#define HDRD_COUNTER(name, section, in_report, value)                 \
+    {name, CounterSection::section, in_report,                         \
+     [](const RunResult &r) -> CounterValue { return value; }}
+
+const RunCounter kRunCounters[] = {
+    HDRD_COUNTER("wall_cycles", kCore, true, r.wall_cycles),
+    HDRD_COUNTER("total_ops", kCore, true, r.total_ops),
+    HDRD_COUNTER("mem_accesses", kCore, true, r.mem_accesses),
+    HDRD_COUNTER("reads", kCore, false, r.reads),
+    HDRD_COUNTER("writes", kCore, false, r.writes),
+    HDRD_COUNTER("sync_ops", kCore, true, r.sync_ops),
+    HDRD_COUNTER("atomic_ops", kCore, true, r.atomic_ops),
+    HDRD_COUNTER("work_ops", kCore, false, r.work_ops),
+    HDRD_COUNTER("analyzed_accesses", kCore, true, r.analyzed_accesses),
+    HDRD_COUNTER("analyzed_fraction", kCore, false, r.analyzedFraction()),
+    HDRD_COUNTER("enables", kCore, true, r.enables),
+    HDRD_COUNTER("disables", kCore, false, r.disables),
+    HDRD_COUNTER("interrupts", kCore, true, r.interrupts),
+    HDRD_COUNTER("pebs_captures", kCore, true, r.pebs_captures),
+    HDRD_COUNTER("hitm_loads", kCore, true, r.hitm_loads),
+    HDRD_COUNTER("hitm_transfers", kCore, true, r.hitm_transfers),
+    HDRD_COUNTER("private_writebacks", kCore, false, r.private_writebacks),
+    HDRD_COUNTER("gt_wr", kCore, false, r.gt.wr),
+    HDRD_COUNTER("gt_ww", kCore, false, r.gt.ww),
+    HDRD_COUNTER("gt_rw", kCore, false, r.gt.rw),
+    HDRD_COUNTER("gt_shared_accesses", kCore, false, r.gt.shared_accesses),
+    HDRD_COUNTER("races_unique", kCore, false, r.reports.uniqueCount()),
+    HDRD_COUNTER("races_dynamic", kCore, false, r.reports.dynamicCount()),
+    HDRD_COUNTER("mem_latency_mean", kCore, false, r.mem_latency.mean()),
+    HDRD_COUNTER("mem_latency_p50", kCore, false,
+                 r.mem_latency.percentile(50)),
+    HDRD_COUNTER("mem_latency_p99", kCore, false,
+                 r.mem_latency.percentile(99)),
+    HDRD_COUNTER("samples_seen", kFault, false, r.faults.samples_seen),
+    HDRD_COUNTER("dropped", kFault, false, r.faults.dropped()),
+    HDRD_COUNTER("drop_ratio", kFault, false, r.faults.dropRatio()),
+    HDRD_COUNTER("skid_added", kFault, false, r.faults.skid_added),
+    HDRD_COUNTER("skid_rms", kFault, false, r.faults.skidRms()),
+    HDRD_COUNTER("coalesced", kFault, false, r.faults.coalesced),
+    HDRD_COUNTER("throttled", kFault, false, r.faults.throttled),
+    HDRD_COUNTER("throttle_trips", kFault, false, r.faults.throttle_trips),
+    HDRD_COUNTER("corrupted_addrs", kFault, false,
+                 r.faults.corrupted_addrs),
+    HDRD_COUNTER("delivered", kFault, false, r.faults.delivered),
+    HDRD_COUNTER("suppressed_interrupts", kFault, false,
+                 r.interrupts_suppressed),
+    HDRD_COUNTER("mode", kFailsafe, false,
+                 demand::failsafeModeName(r.failsafe_mode)),
+    HDRD_COUNTER("escalations", kFailsafe, false, r.escalations),
+    HDRD_COUNTER("deescalations", kFailsafe, false, r.deescalations),
+    HDRD_COUNTER("ignored_interrupts", kFailsafe, false,
+                 r.ignored_interrupts),
+    HDRD_COUNTER("pebs_stale", kFailsafe, false, r.pebs_stale),
+};
+
+#undef HDRD_COUNTER
+
+} // namespace
+
+std::span<const RunCounter>
+runCounters()
+{
+    return kRunCounters;
+}
+
 void
 RunResult::dump(std::ostream &os) const
 {
@@ -887,66 +979,42 @@ RunResult::dump(std::ostream &os) const
         os << "run.status " << runStatusName(status) << '\n'
            << "run.error " << error << '\n';
     }
-    os << "run.wall_cycles " << wall_cycles << '\n'
-       << "run.total_ops " << total_ops << '\n'
-       << "run.mem_accesses " << mem_accesses << '\n'
-       << "run.reads " << reads << '\n'
-       << "run.writes " << writes << '\n'
-       << "run.sync_ops " << sync_ops << '\n'
-       << "run.atomic_ops " << atomic_ops << '\n'
-       << "run.work_ops " << work_ops << '\n'
-       << "run.analyzed_accesses " << analyzed_accesses << '\n'
-       << "run.analyzed_fraction " << analyzedFraction() << '\n'
-       << "run.enables " << enables << '\n'
-       << "run.disables " << disables << '\n'
-       << "run.interrupts " << interrupts << '\n'
-       << "run.pebs_captures " << pebs_captures << '\n'
-       << "run.hitm_loads " << hitm_loads << '\n'
-       << "run.hitm_transfers " << hitm_transfers << '\n'
-       << "run.private_writebacks " << private_writebacks << '\n'
-       << "run.gt_wr " << gt.wr << '\n'
-       << "run.gt_ww " << gt.ww << '\n'
-       << "run.gt_rw " << gt.rw << '\n'
-       << "run.gt_shared_accesses " << gt.shared_accesses << '\n'
-       << "run.races_unique " << reports.uniqueCount() << '\n'
-       << "run.races_dynamic " << reports.dynamicCount() << '\n'
-       << "run.mem_latency_mean " << mem_latency.mean() << '\n'
-       << "run.mem_latency_p50 " << mem_latency.percentile(50)
-       << '\n'
-       << "run.mem_latency_p99 " << mem_latency.percentile(99)
-       << '\n';
+    const auto section = [&](CounterSection s, const char *prefix) {
+        for (const RunCounter &c : kRunCounters) {
+            if (c.section == s) {
+                os << prefix << c.name << ' ';
+                std::visit([&os](auto v) { os << v; }, c.get(*this));
+                os << '\n';
+            }
+        }
+    };
+    section(CounterSection::kCore, "run.");
     for (std::size_t e = 0; e < pmu::kNumEventTypes; ++e) {
         os << "run.pmu." << pmu::eventName(
                 static_cast<pmu::EventType>(e))
            << ' ' << pmu_totals[e] << '\n';
     }
-    // Fault / failsafe blocks are emitted only when the features are
-    // in use, so fault-free runs keep the frozen golden dump format.
-    if (faults_active) {
-        os << "run.fault.samples_seen " << faults.samples_seen << '\n'
-           << "run.fault.dropped " << faults.dropped() << '\n'
-           << "run.fault.drop_ratio " << faults.dropRatio() << '\n'
-           << "run.fault.skid_added " << faults.skid_added << '\n'
-           << "run.fault.skid_rms " << faults.skidRms() << '\n'
-           << "run.fault.coalesced " << faults.coalesced << '\n'
-           << "run.fault.throttled " << faults.throttled << '\n'
-           << "run.fault.throttle_trips " << faults.throttle_trips
-           << '\n'
-           << "run.fault.corrupted_addrs " << faults.corrupted_addrs
-           << '\n'
-           << "run.fault.delivered " << faults.delivered << '\n'
-           << "run.fault.suppressed_interrupts "
-           << interrupts_suppressed << '\n';
-    }
-    if (failsafe_active) {
-        os << "run.failsafe.mode "
-           << demand::failsafeModeName(failsafe_mode) << '\n'
-           << "run.failsafe.escalations " << escalations << '\n'
-           << "run.failsafe.deescalations " << deescalations << '\n'
-           << "run.failsafe.ignored_interrupts " << ignored_interrupts
-           << '\n'
-           << "run.failsafe.pebs_stale " << pebs_stale << '\n';
-    }
+    if (faults_active)
+        section(CounterSection::kFault, "run.fault.");
+    if (failsafe_active)
+        section(CounterSection::kFailsafe, "run.failsafe.");
+}
+
+void
+fillBenchCell(benchjson::BenchCell &cell, const RunResult &result,
+              const SimConfig &config, double seconds)
+{
+    cell.detector = config.mode == instr::ToolMode::kNative
+        ? "none"
+        : detectorName(config.detector);
+    cell.wall_seconds = seconds;
+    cell.sim_ops = result.total_ops;
+    cell.sim_mem_accesses = result.mem_accesses;
+    cell.sim_wall_cycles = result.wall_cycles;
+    cell.races_unique = result.reports.uniqueCount();
+    cell.host_ops_per_sec = seconds > 0.0
+        ? static_cast<double>(result.total_ops) / seconds
+        : 0.0;
 }
 
 } // namespace hdrd::runtime

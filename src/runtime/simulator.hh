@@ -20,7 +20,9 @@
 #include <cstdint>
 #include <functional>
 #include <ostream>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/histogram.hh"
@@ -35,6 +37,11 @@
 #include "pmu/event.hh"
 #include "pmu/faults.hh"
 #include "runtime/scheduler.hh"
+
+namespace hdrd::benchjson
+{
+struct BenchCell;
+}
 
 namespace hdrd::runtime
 {
@@ -64,6 +71,12 @@ enum class DetectorKind : std::uint8_t
     kNaiveHb,        ///< full-vector-clock DJIT+ (reference oracle)
     kLockset,        ///< Eraser-style lockset (baseline comparison)
 };
+
+/** Printable name for a DetectorKind ("unknown" when out of range). */
+const char *detectorName(DetectorKind kind);
+
+/** Parse a detectorName(); false (@p kind untouched) when unknown. */
+bool parseDetector(const std::string &name, DetectorKind &kind);
 
 /** Simulation configuration: platform, regime, gating, bookkeeping. */
 struct SimConfig
@@ -167,15 +180,12 @@ struct RunResult
     /** PEBS captures skipped by the staleness bound. */
     std::uint64_t pebs_stale = 0;
 
-    /**
-     * Fault-injection accounting; dumped only when faults_active so
-     * fault-free runs keep the frozen golden dump format.
-     */
+    /** Fault-injection accounting (CounterSection::kFault). */
     bool faults_active = false;
     pmu::FaultStats faults;
     std::uint64_t interrupts_suppressed = 0;
 
-    /** Failsafe/hysteresis accounting; dumped when failsafe_active. */
+    /** Failsafe/hysteresis accounting (CounterSection::kFailsafe). */
     bool failsafe_active = false;
     demand::FailsafeMode failsafe_mode = demand::FailsafeMode::kDemand;
     std::uint64_t escalations = 0;
@@ -221,10 +231,42 @@ struct RunResult
 
     /**
      * Machine-readable "key value" dump of every measurement (one
-     * per line), gem5-stats style.
+     * per line), gem5-stats style, in runCounters() order with the
+     * PMU totals after the core section.
      */
     void dump(std::ostream &os) const;
 };
+
+/**
+ * Output block of a run counter. kFault and kFailsafe are gated:
+ * dumped only when RunResult::faults_active / failsafe_active, so
+ * runs without those features keep the frozen golden dump format.
+ */
+enum class CounterSection : std::uint8_t
+{
+    kCore,
+    kFault,
+    kFailsafe,
+};
+
+/** A run counter's value: a count, a ratio or a name. */
+using CounterValue = std::variant<std::uint64_t, double, const char *>;
+
+/** A run-counter registry entry: the one place a counter is named. */
+struct RunCounter
+{
+    const char *name;
+    CounterSection section;
+    bool in_report;  ///< listed in the report's "sim" block (counts)
+    CounterValue (*get)(const RunResult &);
+};
+
+/** Every run counter, grouped by section, in dump order. */
+std::span<const RunCounter> runCounters();
+
+/** Fill @p cell's run columns from @p config's @p result. */
+void fillBenchCell(benchjson::BenchCell &cell, const RunResult &result,
+                   const SimConfig &config, double seconds);
 
 /**
  * Optional observation hooks for a run in flight (streaming jobs).

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <variant>
 
 #include "common/logging.hh"
 #include "detect/report.hh"
@@ -23,17 +24,6 @@ hexAddr(std::uint64_t addr)
 }
 
 } // namespace
-
-const char *
-detectorName(std::uint32_t detector)
-{
-    switch (detector) {
-      case 0: return "fasttrack";
-      case 1: return "naive";
-      case 2: return "lockset";
-    }
-    return "unknown";
-}
 
 std::string
 jobReportJson(const JobReport &report)
@@ -58,7 +48,9 @@ jobReportJson(const JobReport &report)
        << "    \"mode\": \""
        << instr::toolModeName(
               static_cast<instr::ToolMode>(o.mode)) << "\",\n"
-       << "    \"detector\": \"" << detectorName(o.detector)
+       << "    \"detector\": \""
+       << runtime::detectorName(
+              static_cast<runtime::DetectorKind>(o.detector))
        << "\",\n"
        << "    \"seed\": " << o.seed << ",\n"
        << "    \"granule_shift\": " << o.granule_shift << ",\n"
@@ -67,21 +59,18 @@ jobReportJson(const JobReport &report)
        << "    \"faults\": \"" << report.fault_spec << "\"\n"
        << "  },\n";
 
-    os << "  \"sim\": {\n"
-       << "    \"wall_cycles\": " << r.wall_cycles << ",\n"
-       << "    \"total_ops\": " << r.total_ops << ",\n"
-       << "    \"mem_accesses\": " << r.mem_accesses << ",\n"
-       << "    \"sync_ops\": " << r.sync_ops << ",\n"
-       << "    \"atomic_ops\": " << r.atomic_ops << ",\n"
-       << "    \"analyzed_accesses\": " << r.analyzed_accesses
-       << ",\n"
-       << "    \"enables\": " << r.enables << ",\n"
-       << "    \"interrupts\": " << r.interrupts << ",\n"
-       << "    \"pebs_captures\": " << r.pebs_captures << ",\n"
-       << "    \"hitm_loads\": " << r.hitm_loads << ",\n"
-       << "    \"hitm_transfers\": " << r.hitm_transfers << "\n"
-       << "  },\n";
+    os << "  \"sim\": {";
+    const char *sep = "";
+    for (const runtime::RunCounter &c : runtime::runCounters()) {
+        if (c.in_report) {
+            os << sep << "\n    \"" << c.name << "\": ";
+            std::visit([&os](auto v) { os << v; }, c.get(r));
+            sep = ",";
+        }
+    }
+    os << "\n  },\n";
 
+    // Not in registry order (skid_rms comes last): its own key list.
     if (r.faults_active) {
         os << "  \"faults\": {\n"
            << "    \"samples_seen\": " << r.faults.samples_seen
@@ -98,7 +87,7 @@ jobReportJson(const JobReport &report)
        << "    \"unique\": " << r.reports.uniqueCount() << ",\n"
        << "    \"dynamic\": " << r.reports.dynamicCount() << ",\n"
        << "    \"reports\": [";
-    const char *sep = "";
+    sep = "";
     for (const detect::RaceReport &race : r.reports.reports()) {
         os << sep << "\n      {\"addr\": \"" << hexAddr(race.addr)
            << "\", \"type\": \"" << detect::raceTypeName(race.type)

@@ -61,9 +61,6 @@ struct JobReport
  */
 std::string jobReportJson(const JobReport &report);
 
-/** Printable name for a JobOptions::detector value. */
-const char *detectorName(std::uint32_t detector);
-
 } // namespace hdrd::service
 
 #endif // HDRD_SERVICE_REPORT_JSON_HH

@@ -130,6 +130,13 @@ static_assert(sizeof(TraceRecord) == 32, "record layout drifted");
 constexpr std::uint8_t kMaxOpType =
     static_cast<std::uint8_t>(runtime::OpType::kWrUnlock);
 
+/**
+ * Most cycles one kWork record may ask for. A trace holds at most
+ * 2^25 records (the service's max_trace_bytes), so the simulated
+ * clocks stay far below 2^64 and cannot wrap.
+ */
+constexpr std::uint64_t kMaxWorkCycles = 1ull << 32;
+
 } // namespace hdrd::trace
 
 #endif // HDRD_TRACE_TRACE_FORMAT_HH

@@ -265,6 +265,14 @@ TraceReader::next(TraceRecord *out, std::size_t max)
                 + std::to_string(record.type);
             return produced;
         }
+        if (record.type == static_cast<std::uint8_t>(runtime::OpType::kWork)
+            && record.arg > kMaxWorkCycles) {
+            error_ = "record " + std::to_string(consumed_)
+                + " has work of " + std::to_string(record.arg)
+                + " cycles, above the cap of "
+                + std::to_string(kMaxWorkCycles);
+            return produced;
+        }
         ++consumed_;
     }
     return produced;

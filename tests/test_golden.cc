@@ -17,6 +17,11 @@
  * shadow is recycled across runs and workloads, and both runs must
  * hash identically.
  *
+ * A third table, kFrozenBlocks, freezes what the golden suite does
+ * not reach: the gated dump blocks (run.status/run.error of a failed
+ * run, run.fault.*, run.failsafe.*) and the hdrd-report-v1 JSON of
+ * a job, final and partial, including the report's "faults" block.
+ *
  * Regenerate (only when behaviour is *supposed* to change):
  *   ./tests/test_golden --emit-golden > ../tests/golden_hashes.inc
  *   ./tests/test_golden --emit-golden-lockset \
@@ -33,8 +38,11 @@
 #include <vector>
 
 #include "instr/cost_model.hh"
+#include "pmu/faults.hh"
 #include "runtime/simulator.hh"
+#include "service/job.hh"
 #include "workloads/registry.hh"
+#include "workloads/synthetic.hh"
 
 using namespace hdrd;
 
@@ -227,6 +235,102 @@ emitGolden(const std::vector<GoldenCell> &cells,
     }
 }
 
+/** Hashes of one run's outputs; every partial is taken at op 400. */
+struct FrozenBlocks
+{
+    const char *run;
+    std::uint64_t dump;            ///< final RunResult::dump()
+    std::uint64_t report;          ///< final Job::reportJson()
+    std::uint64_t partial_report;  ///< first partial's reportJson()
+};
+
+const FrozenBlocks kFrozenBlocks[] = {
+    {"demand-faults-failsafe", 0xbaa8b0a161f03fa2ULL,
+     0x42c498a3b884732fULL, 0x84db1f9a8c1d1ab4ULL},
+    {"deadlock", 0x3aa4338d7e8d092aULL, 0xbd9b863abe9100faULL,
+     0x942b6c3fdfcce62bULL},
+    {"plain", 0x094b69e34d37e83fULL, 0xd73216b22d682572ULL,
+     0x6429ba8601f341b3ULL},
+};
+
+/** Two threads racing on a shared region, then an ABBA deadlock. */
+std::unique_ptr<runtime::Program>
+deadlockProgram()
+{
+    workloads::Builder b("abba", 2);
+    const workloads::Region shared = b.alloc(512);
+    for (ThreadId t = 0; t < 2; ++t)
+        b.sweep(t, shared, 300, 0.5);
+    b.lockOp(0, 1);
+    b.lockOp(0, 2);
+    b.unlockOp(0, 2);
+    b.unlockOp(0, 1);
+    b.lockOp(1, 2);
+    b.lockOp(1, 1);
+    b.unlockOp(1, 1);
+    b.unlockOp(1, 2);
+    return b.build();
+}
+
+/** Run @p name's job and hash its dump and reports. */
+FrozenBlocks
+runFrozen(const char *name)
+{
+    service::Job job;
+    job.options.flags = service::kJobOmitHostTiming;
+    job.options.seed = 7;
+    std::unique_ptr<runtime::Program> program;
+    runtime::SimConfig base;
+    if (std::strcmp(name, "deadlock") == 0) {
+        job.options.mode =
+            static_cast<std::uint32_t>(instr::ToolMode::kContinuous);
+        program = deadlockProgram();
+    } else {
+        workloads::WorkloadParams params;
+        params.nthreads = 4;
+        params.scale = 0.05;
+        params.seed = 42;
+        const bool demand =
+            std::strcmp(name, "demand-faults-failsafe") == 0;
+        program = workloads::findWorkload(
+            demand ? "micro.racy_counter" : "micro.ping_pong")
+                      ->factory(params);
+        job.options.mode = static_cast<std::uint32_t>(
+            demand ? instr::ToolMode::kDemand
+                   : instr::ToolMode::kContinuous);
+        if (demand) {
+            std::string err;
+            EXPECT_TRUE(pmu::resolveFaultSpec("storm", job.faults, err))
+                << err;
+            demand::GatingConfig &g = base.gating;
+            g.pebs_precise_capture = true;
+            g.pebs_staleness = 2;
+            g.failsafe.escalation = true;
+            g.failsafe.enable_holdoff = 32;
+            g.failsafe.health_window = 500;
+            g.failsafe.trip_windows = 1;
+            g.failsafe.recover_windows = 2;
+        }
+    }
+    job.trace = program->name();
+    job.nthreads = program->numThreads();
+
+    std::string partial;
+    runtime::RunObserver observer;
+    observer.interval_ops = 400;
+    observer.on_partial = [&](const runtime::RunResult &snapshot) {
+        if (partial.empty())
+            partial = job.reportJson(snapshot, 1);
+    };
+    runtime::Simulator engine(job.simConfig(base));
+    const runtime::RunResult result = engine.run(*program, &observer);
+    std::ostringstream dump;
+    result.dump(dump);
+    EXPECT_FALSE(partial.empty()) << name;
+    return {name, fnv1a(dump.str()), fnv1a(job.reportJson(result)),
+            fnv1a(partial)};
+}
+
 } // namespace
 
 TEST(Golden, DumpHashesMatchFrozenEngineBehaviour)
@@ -240,6 +344,17 @@ TEST(Golden, LocksetDumpHashesMatchFrozenBehaviourOnReusedEngine)
     expectMatchesGolden(enumerateLocksetCells(), kGoldenLockset,
                         std::size(kGoldenLockset),
                         runtime::DetectorKind::kLockset);
+}
+
+TEST(Golden, GatedBlocksAndReportsMatchFrozenBytes)
+{
+    for (const FrozenBlocks &want : kFrozenBlocks) {
+        const FrozenBlocks got = runFrozen(want.run);
+        EXPECT_EQ(got.dump, want.dump) << want.run << " dump";
+        EXPECT_EQ(got.report, want.report) << want.run << " report";
+        EXPECT_EQ(got.partial_report, want.partial_report)
+            << want.run << " partial report";
+    }
 }
 
 int

@@ -444,10 +444,20 @@ TEST(ReportJson, DeterministicAndWellFormed)
 
 TEST(ReportJson, DetectorNames)
 {
-    EXPECT_STREQ(detectorName(0), "fasttrack");
-    EXPECT_STREQ(detectorName(1), "naive");
-    EXPECT_STREQ(detectorName(2), "lockset");
-    EXPECT_STREQ(detectorName(7), "unknown");
+    using runtime::DetectorKind;
+    EXPECT_STREQ(runtime::detectorName(DetectorKind::kFastTrack),
+                 "fasttrack");
+    EXPECT_STREQ(runtime::detectorName(DetectorKind::kNaiveHb), "naive");
+    EXPECT_STREQ(runtime::detectorName(DetectorKind::kLockset),
+                 "lockset");
+    EXPECT_STREQ(runtime::detectorName(static_cast<DetectorKind>(7)),
+                 "unknown");
+    // The CLIs parse the same names back.
+    DetectorKind kind = DetectorKind::kFastTrack;
+    EXPECT_TRUE(runtime::parseDetector("lockset", kind));
+    EXPECT_EQ(kind, DetectorKind::kLockset);
+    EXPECT_FALSE(runtime::parseDetector("unknown", kind));
+    EXPECT_EQ(kind, DetectorKind::kLockset);
 }
 
 // ---------------------------------------------------------------------
@@ -535,6 +545,42 @@ TEST(ServerEndToEnd, SubmitStatsPingAndRejects)
     EXPECT_FALSE(after.connectUnix(
         std::string(::testing::TempDir()) + "hdrd_svc_e2e.sock",
         err));
+}
+
+TEST(ServerEndToEnd, WorkPastTheCycleCapIsAPerJobError)
+{
+    ServerConfig config;
+    config.unix_path = std::string(::testing::TempDir())
+        + "hdrd_svc_bigwork.sock";
+    config.workers = 1;
+    Server server(std::move(config));
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+    Client client;
+    ASSERT_TRUE(client.connectUnix(
+        std::string(::testing::TempDir()) + "hdrd_svc_bigwork.sock",
+        err))
+        << err;
+
+    using runtime::Op;
+    std::vector<std::vector<Op>> per_thread(2);
+    per_thread[0] = {Op::work(~0ull), Op::write(0x1000, 1)};
+    per_thread[1] = {Op::work(5), Op::read(0x1000, 2)};
+    JobOptions options;
+    options.flags = kJobOmitHostTiming;
+    const Response wrap = client.submit(
+        options,
+        traceBytes(trace::TraceData::fromOps("wrap",
+                                             std::move(per_thread))));
+    ASSERT_TRUE(wrap.transport_ok);
+    EXPECT_EQ(wrap.type, FrameType::kError);
+    EXPECT_NE(wrap.payload.find("record 0 has work of"),
+              std::string::npos)
+        << wrap.payload;
+
+    // The daemon keeps serving.
+    EXPECT_TRUE(client.submit(options, traceBytes(tinyTrace())).isReport());
+    server.stop();
 }
 
 TEST(ServerEndToEnd, ConcurrentClientsGetConsistentReports)

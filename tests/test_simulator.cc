@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "instr/cost_model.hh"
 #include "runtime/simulator.hh"
@@ -522,4 +524,41 @@ TEST(Simulator, ReusedEngineMatchesFreshInstance)
                                         demandConfig())));
     // A recycled shadow must not leak state between jobs.
     EXPECT_EQ(racy_reused, racy_again);
+}
+
+TEST(RunCounters, NamesAreUniqueAndDumpFollowsTheTable)
+{
+    std::set<std::string> names;
+    std::vector<std::string> expected;
+    for (const RunCounter &c : runCounters()) {
+        EXPECT_TRUE(names.insert(c.name).second) << c.name;
+        const char *prefix = c.section == CounterSection::kCore
+            ? "run."
+            : c.section == CounterSection::kFault ? "run.fault."
+                                                  : "run.failsafe.";
+        expected.push_back(prefix + std::string(c.name));
+        // The report prints "sim" values verbatim: counts only.
+        if (c.in_report) {
+            EXPECT_TRUE(std::holds_alternative<std::uint64_t>(
+                c.get(RunResult{})))
+                << c.name;
+        }
+    }
+
+    // Both gated sections on: every entry once, in table order, with
+    // only the PMU totals in between.
+    RunResult result;
+    result.faults_active = true;
+    result.failsafe_active = true;
+    std::istringstream dump([&] {
+        std::ostringstream os;
+        result.dump(os);
+        return os.str();
+    }());
+    std::vector<std::string> keys;
+    for (std::string line; std::getline(dump, line);) {
+        if (line.rfind("run.pmu.", 0) != 0)
+            keys.push_back(line.substr(0, line.find(' ')));
+    }
+    EXPECT_EQ(keys, expected);
 }

@@ -327,6 +327,32 @@ TEST(TraceCorruption, InvalidOpTypeByteRejected)
     std::remove(path.c_str());
 }
 
+TEST(TraceCorruption, WorkPastTheCycleCapRejected)
+{
+    // 2^64-1 work cycles would wrap t0's simulated clock.
+    const auto path = tmpPath("bigwork");
+    std::vector<std::vector<Op>> per_thread(2);
+    per_thread[0] = {Op::work(~0ull), Op::write(0x1000, 1)};
+    per_thread[1] = {Op::work(5), Op::read(0x1000, 2)};
+    ASSERT_TRUE(TraceData::fromOps("wrap", std::move(per_thread))
+                    .save(path));
+    const TraceData data = TraceData::load(path);
+    EXPECT_FALSE(data.ok());
+    EXPECT_NE(data.error().find("record 0 has work of "
+                                "18446744073709551615 cycles, above "
+                                "the cap of 4294967296"),
+              std::string::npos)
+        << data.error();
+    std::remove(path.c_str());
+
+    // The cap itself is still a valid record.
+    per_thread.assign(1, {Op::work(kMaxWorkCycles)});
+    ASSERT_TRUE(TraceData::fromOps("cap", std::move(per_thread))
+                    .save(path));
+    EXPECT_TRUE(TraceData::load(path).ok());
+    std::remove(path.c_str());
+}
+
 TEST(TraceIo, FromOpsSaveLoadRoundTrips)
 {
     std::vector<std::vector<Op>> per_thread(2);

@@ -236,7 +236,6 @@ struct Cell
     const char *mode_name = "";
     runtime::DetectorKind detector =
         runtime::DetectorKind::kFastTrack;
-    const char *detector_name = "fasttrack";
     double scale = 0.0;  ///< 0 = Options::scale
     benchjson::BenchCell result;
 
@@ -322,17 +321,7 @@ runCell(Cell &cell, const Options &opt)
     out.workload = cell.info->name;
     out.suite = cell.info->suite;
     out.mode = cell.mode_name;
-    out.detector = cell.mode == instr::ToolMode::kNative
-        ? "none"
-        : cell.detector_name;
-    out.wall_seconds = best_seconds;
-    out.sim_ops = result.total_ops;
-    out.sim_mem_accesses = result.mem_accesses;
-    out.sim_wall_cycles = result.wall_cycles;
-    out.races_unique = result.reports.uniqueCount();
-    out.host_ops_per_sec = best_seconds > 0.0
-        ? static_cast<double>(result.total_ops) / best_seconds
-        : 0.0;
+    runtime::fillBenchCell(out, result, config, best_seconds);
     out.alloc_count = alloc_last.count;
     out.alloc_bytes = alloc_last.bytes;
     out.scale = params.scale;
@@ -502,30 +491,17 @@ main(int argc, char **argv)
     if (modes.empty())
         fatal("--modes selected nothing");
 
-    struct DetectorSpec
-    {
-        const char *name;
-        runtime::DetectorKind kind;
-    };
-    static const DetectorSpec kAllDetectors[] = {
-        {"fasttrack", runtime::DetectorKind::kFastTrack},
-        {"lockset", runtime::DetectorKind::kLockset},
-    };
-    std::vector<DetectorSpec> detectors;
+    std::vector<runtime::DetectorKind> detectors;
     {
         std::stringstream ss(opt.detectors);
         std::string token;
         while (std::getline(ss, token, ',')) {
-            bool found = false;
-            for (const DetectorSpec &spec : kAllDetectors) {
-                if (token == spec.name) {
-                    detectors.push_back(spec);
-                    found = true;
-                }
-            }
-            if (!found)
+            runtime::DetectorKind kind = runtime::DetectorKind::kFastTrack;
+            if (!runtime::parseDetector(token, kind)
+                || kind == runtime::DetectorKind::kNaiveHb)
                 fatal("unknown detector '", token,
                       "' in --detectors (fasttrack, lockset)");
+            detectors.push_back(kind);
         }
     }
     if (detectors.empty())
@@ -564,8 +540,7 @@ main(int argc, char **argv)
                     cell.info = &info;
                     cell.mode = spec.mode;
                     cell.mode_name = spec.name;
-                    cell.detector = detectors[d].kind;
-                    cell.detector_name = detectors[d].name;
+                    cell.detector = detectors[d];
                     cell.scale = scale;
                     cells.push_back(std::move(cell));
                 }

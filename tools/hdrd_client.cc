@@ -49,6 +49,7 @@
 
 #include "common/cli.hh"
 #include "common/logging.hh"
+#include "runtime/simulator.hh"
 #include "service/client.hh"
 #include "service/cluster.hh"
 #include "service/router.hh"
@@ -240,14 +241,10 @@ parse(int argc, char **argv)
             else
                 fatal("unknown mode '", value, "'");
         } else if (eat(arg, "--detector=", value)) {
-            if (value == "fasttrack")
-                opt.job.detector = 0;
-            else if (value == "naive")
-                opt.job.detector = 1;
-            else if (value == "lockset")
-                opt.job.detector = 2;
-            else
+            runtime::DetectorKind kind = runtime::DetectorKind::kFastTrack;
+            if (!runtime::parseDetector(value, kind))
                 fatal("unknown detector '", value, "'");
+            opt.job.detector = static_cast<std::uint32_t>(kind);
         } else if (eat(arg, "--seed=", value)) {
             opt.job.seed = cli::parseU64("seed", value);
         } else if (eat(arg, "--granule=", value)) {

@@ -177,13 +177,7 @@ parse(int argc, char **argv)
             else
                 fatal("unknown mode '", value, "'");
         } else if (eat(arg, "--detector=", value)) {
-            if (value == "fasttrack")
-                opt.detector = runtime::DetectorKind::kFastTrack;
-            else if (value == "naive")
-                opt.detector = runtime::DetectorKind::kNaiveHb;
-            else if (value == "lockset")
-                opt.detector = runtime::DetectorKind::kLockset;
-            else
+            if (!runtime::parseDetector(value, opt.detector))
                 fatal("unknown detector '", value, "'");
         } else if (eat(arg, "--strategy=", value)) {
             if (value == "hitm")
@@ -381,29 +375,7 @@ main(int argc, char **argv)
             ? std::string("demand-")
                   + demand::strategyName(opt.strategy)
             : instr::toolModeName(opt.mode);
-        if (opt.mode == instr::ToolMode::kNative) {
-            cell.detector = "none";
-        } else {
-            switch (opt.detector) {
-              case runtime::DetectorKind::kFastTrack:
-                cell.detector = "fasttrack";
-                break;
-              case runtime::DetectorKind::kNaiveHb:
-                cell.detector = "naive";
-                break;
-              case runtime::DetectorKind::kLockset:
-                cell.detector = "lockset";
-                break;
-            }
-        }
-        cell.wall_seconds = seconds;
-        cell.sim_ops = result.total_ops;
-        cell.sim_mem_accesses = result.mem_accesses;
-        cell.sim_wall_cycles = result.wall_cycles;
-        cell.races_unique = result.reports.uniqueCount();
-        cell.host_ops_per_sec = seconds > 0.0
-            ? static_cast<double>(result.total_ops) / seconds
-            : 0.0;
+        runtime::fillBenchCell(cell, result, config, seconds);
 
         benchjson::BenchMeta meta;
         meta.tool = "hdrd_sim";
